@@ -166,59 +166,6 @@ def cmd_sample(args):
     return 0
 
 
-def _verify_checks(config, quick):
-    """Yield (name, measured, tolerance, passed) rows for the invariant suite."""
-    from .numerics import integrate
-
-    betas = (1.0, 2.0) if quick else (0.5, 0.8, 1.0, 1.5, 2.0, 3.0)
-    snrs = (1.0,) if quick else (0.1, 1.0, 10.0, 100.0)
-    rows = []
-
-    for beta in betas:
-        law = _gg.with_variance(beta, 1.0)
-        mass = integrate(lambda n: _gg.pdf(law, n), -math.inf, math.inf, config.quadrature)
-        rows.append(("pdf_mass beta=%g" % beta, abs(mass - 1.0), 1e-8, abs(mass - 1.0) <= 1e-8))
-
-    for beta in betas:
-        law = _gg.with_variance(beta, 1.0)
-        estimate, stderr = _verify.mc_entropy(law, config)
-        z = abs(estimate - _gg.entropy(law, "nats")) / stderr
-        rows.append(("mc_entropy beta=%g (|z|)" % beta, z, 4.0, z <= 4.0))
-
-    points = 20_000 if quick else 200_000
-    grid_mass = 1e-7 if quick else 1e-8
-    gauss_grid = _verify.gg_density_grid(
-        _gg.with_variance(2.0, 1.0), truncation_mass=grid_mass, points_per_side=points
-    )
-    gauss_entropy = _verify.grid_entropy(gauss_grid)
-    for beta in betas:
-        grid = _verify.gg_density_grid(
-            _gg.with_variance(beta, 1.0), truncation_mass=grid_mass, points_per_side=points
-        )
-        diff = gauss_entropy - _verify.grid_entropy(grid)
-        err = abs(diff - gap(beta, "nats"))
-        tol = 1e-5 if quick else 1e-6
-        rows.append(("entropy_gap_identity beta=%g" % beta, err, tol, err <= tol))
-        mass_err = abs(grid.mass - 1.0)
-        bound = 2.0 * grid.truncation_mass
-        rows.append(("grid_mass beta=%g" % beta, mass_err, bound, mass_err <= bound))
-
-    mi_points = 801 if quick else 2001
-    for beta in betas:
-        for snr in snrs:
-            cfg = ChannelConfig(snr, _gg.with_variance(beta, 1.0))
-            mi = _verify.gaussian_input_mi(cfg, "bits", grid_points=mi_points)
-            bounds = awggn_bounds(cfg, "bits")
-            inside = bounds.lower - 1e-4 <= mi <= bounds.upper + 1e-4
-            slack = max(bounds.lower - mi, mi - bounds.upper, 0.0)
-            rows.append(("mi_sandwich beta=%g snr=%g" % (beta, snr), slack, 1e-4, inside))
-            grid = _verify.output_density(cfg, grid_points=mi_points)
-            mass_err = abs(grid.mass - 1.0)
-            bound = 2.0 * grid.truncation_mass
-            rows.append(("output_mass beta=%g snr=%g" % (beta, snr), mass_err, bound, mass_err <= bound))
-    return rows
-
-
 def cmd_verify(args):
     config = SimConfig(
         seed=args.seed,
@@ -228,7 +175,7 @@ def cmd_verify(args):
         units=args.units,
         threads=args.threads,
     )
-    rows = _verify_checks(config, args.quick)
+    rows = _verify.run_checks(config, args.quick)
     width = max(len(r[0]) for r in rows)
     lines = []
     failures = 0

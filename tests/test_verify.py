@@ -1,11 +1,12 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
 from uwacap import capacity, gg_noise as gg, verify
 from uwacap.config import SimConfig
-from uwacap.numerics import DomainError
+from uwacap.numerics import DomainError, QuadratureError
 
 BETA_GRID = [0.5, 0.8, 1.0, 1.5, 2.0, 3.0]
 
@@ -102,6 +103,77 @@ class TestOutputDensity:
     def test_requires_positive_power(self):
         with pytest.raises(DomainError):
             verify.output_density(capacity.ChannelConfig(0.0, gg.GGNoise(2.0, 1.0)))
+
+    def test_unlanded_mass_raises(self, monkeypatch):
+        # a kernel whose trapezoid mass is always 1 + 2e-12, just above the
+        # window, so neither doubling nor coarsening can ever land it
+        def overshooting(law, power, points, noise_radius, input_radius):
+            return np.full(len(points), (1.0 + 2e-12) / (points[-1] - points[0]))
+
+        monkeypatch.setattr(verify, "_convolved_values", overshooting)
+        config = capacity.ChannelConfig(1.0, gg.with_variance(1.0, 1.0))
+        with pytest.raises(QuadratureError):
+            verify.output_density(config, grid_points=3, max_grid_points=16385)
+
+
+@mpmath.workdps(30)
+def _windowed_convolution(law, power, y, noise_radius, input_radius):
+    """mpmath value of the integral output_density tabulates, on the same window."""
+    beta, scale, mean = (mpmath.mpf(v) for v in (law.beta, law.scale, law.mean))
+    power, y = mpmath.mpf(power), mpmath.mpf(y)
+    lo = max(mean - noise_radius, y - input_radius)
+    hi = min(mean + noise_radius, y + input_radius)
+    norm = beta / (2 * scale * mpmath.gamma(1 / beta) * mpmath.sqrt(2 * mpmath.pi * power))
+
+    def integrand(n):
+        return norm * mpmath.exp(-(abs(n - mean) / scale) ** beta - (y - n) ** 2 / (2 * power))
+
+    # break at the cusp and every standard deviation of the Gaussian factor
+    width = mpmath.sqrt(power)
+    breaks = [mean] + [y + k * width for k in range(-12, 13)]
+    return mpmath.quad(integrand, [lo] + sorted(b for b in breaks if lo < b < hi) + [hi])
+
+
+class TestConvolutionOracle:
+    @pytest.mark.parametrize(
+        "beta,power,y",
+        [
+            (0.5, 1.0, 0.0),  # on the cusp
+            (0.5, 1.0, 0.3),
+            (0.5, 1.0, 40.0),  # far tail
+            (3.0, 1.0, 0.0),
+            (3.0, 1.0, 4.0),
+            (1.5, 10.0, 0.0),
+            (1.5, 10.0, 9.0),
+            (1.0, 1e-6, 0.0),  # Gaussian window far narrower than the grid step
+            (1.0, 1e-6, 2e-3),
+        ],
+    )
+    def test_matches_mpmath(self, beta, power, y):
+        law = gg.with_variance(beta, 1.0)
+        noise_radius = gg.tail_radius(law, 0.5e-10)
+        input_radius = verify._gaussian_tail_radius(power, 0.5e-10)
+        got = verify._convolved_values(law, power, np.array([y]), noise_radius, input_radius)[0]
+        want = _windowed_convolution(law, power, y, noise_radius, input_radius)
+        assert want > 0
+        assert abs(got - float(want)) <= 1e-9 * float(want)
+
+
+class TestRunChecks:
+    def test_one_output_density_per_config(self, monkeypatch):
+        built = []
+        original = verify.output_density
+
+        def counting(config, *args, **kwargs):
+            built.append((config.noise.beta, config.signal_power))
+            return original(config, *args, **kwargs)
+
+        monkeypatch.setattr(verify, "output_density", counting)
+        rows = verify.run_checks(SimConfig(seed=0), quick=False)
+        assert len(rows) == 72
+        assert sorted(built) == sorted(
+            (beta, snr) for beta in BETA_GRID for snr in (0.1, 1.0, 10.0, 100.0)
+        )
 
 
 class TestGaussianInputMI:
