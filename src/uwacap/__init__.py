@@ -13,7 +13,7 @@ from .capacity import (
 from .config import SimConfig
 from .fading import AlphaMuFading
 from .gg_noise import GGNoise, with_variance
-from .numerics import DomainError, QuadratureError, QuadratureSpec
+from .numerics import DomainError, QuadratureError
 from .secrecy import (
     SecrecyScenario,
     secrecy_positive,
@@ -29,7 +29,6 @@ __all__ = [
     "DomainError",
     "GGNoise",
     "QuadratureError",
-    "QuadratureSpec",
     "SecrecyScenario",
     "SimConfig",
     "awgn_capacity",

@@ -15,18 +15,13 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
-from . import fading as _fading
 from . import gg_noise as _gg
-from .numerics import DEFAULT_QUADRATURE, DomainError, integrate, log_gamma, to_units
+from .numerics import DEFAULT_RTOL, DomainError, integrate, log_gamma, real, to_units
 
 
 def gap(beta, units="bits"):
     """The shape-only capacity gap; >= 0 everywhere, zero only at beta = 2."""
-    if not (np.isscalar(beta) and math.isfinite(float(beta)) and beta > 0):
-        raise DomainError("beta must be a positive finite real")
-    b = float(beta)
+    b = real("beta", beta, 0.0)
     nats = 0.5 * (
         2.0 * math.log(b)
         + math.log(math.pi)
@@ -40,9 +35,7 @@ def gap(beta, units="bits"):
 
 def awgn_capacity(snr, units="bits"):
     """0.5 * log(1 + snr) for a linear power ratio snr >= 0."""
-    if not (np.isscalar(snr) and math.isfinite(float(snr)) and snr >= 0):
-        raise DomainError("snr must be a nonnegative finite linear power ratio")
-    return to_units(0.5 * math.log1p(snr), units)
+    return to_units(0.5 * math.log1p(real("snr", snr, 0.0, strict=False)), units)
 
 
 @dataclass(frozen=True)
@@ -72,8 +65,7 @@ class ChannelConfig:
     noise: _gg.GGNoise
 
     def __post_init__(self):
-        if not (np.isscalar(self.signal_power) and math.isfinite(float(self.signal_power)) and self.signal_power >= 0):
-            raise DomainError("signal_power must be a nonnegative finite real")
+        real("signal_power", self.signal_power, 0.0, strict=False)
 
     @property
     def snr(self):
@@ -88,23 +80,20 @@ def awggn_bounds(config, units="bits"):
 
 def conditional_bounds(config, h, units="bits"):
     """Sandwich conditioned on a fading gain h: P is replaced by P*h**2."""
-    if not (np.isscalar(h) and math.isfinite(float(h)) and h >= 0):
-        raise DomainError("channel gain h must be a nonnegative finite real")
+    h = real("channel gain h", h, 0.0, strict=False)
     lower = awgn_capacity(config.snr * h * h, units)
     return CapacityBounds(lower, lower + gap(config.noise.beta, units), units)
 
 
-def ergodic_awgn_capacity(snr_avg, fading, spec=DEFAULT_QUADRATURE, units="bits"):
+def ergodic_awgn_capacity(snr_avg, fading, rtol=DEFAULT_RTOL, units="bits"):
     """E_h{0.5 * log(1 + snr * h**2)} by adaptive quadrature against the fading pdf.
 
     ``snr_avg`` is the average received SNR when the law carries unit average
     power gain (E{h**2} = 1); with an unnormalized law it is the raw P/sigma**2.
     """
-    if not (np.isscalar(snr_avg) and math.isfinite(float(snr_avg)) and snr_avg >= 0):
-        raise DomainError("snr_avg must be a nonnegative finite linear power ratio")
-    if snr_avg == 0:
+    rho = real("snr_avg", snr_avg, 0.0, strict=False)
+    if rho == 0:
         return 0.0
-    rho = float(snr_avg)
     am1 = fading.alpha * fading.mu - 1.0
     c0 = fading.log_norm
     mu, alpha, h_root = fading.mu, fading.alpha, fading.h_root
@@ -115,11 +104,11 @@ def ergodic_awgn_capacity(snr_avg, fading, spec=DEFAULT_QUADRATURE, units="bits"
         lp = c0 + am1 * math.log(h) - mu * (h / h_root) ** alpha
         return 0.5 * math.log1p(rho * h * h) * math.exp(lp)
 
-    nats = integrate(integrand, 0.0, math.inf, spec)
+    nats = integrate(integrand, 0.0, math.inf, rtol)
     return to_units(nats, units)
 
 
-def ergodic_bounds(snr_avg, fading, beta, spec=DEFAULT_QUADRATURE, units="bits"):
+def ergodic_bounds(snr_avg, fading, beta, rtol=DEFAULT_RTOL, units="bits"):
     """Ergodic sandwich: the gap is constant in h, so it commutes with E_h."""
-    lower = ergodic_awgn_capacity(snr_avg, fading, spec, units)
+    lower = ergodic_awgn_capacity(snr_avg, fading, rtol, units)
     return CapacityBounds(lower, lower + gap(beta, units), units)

@@ -24,7 +24,7 @@ from .capacity import (
     gap,
 )
 from .config import SimConfig
-from .numerics import DomainError, QuadratureError, QuadratureSpec
+from .numerics import DomainError, QuadratureError
 from .secrecy import (
     SecrecyScenario,
     secrecy_positive,
@@ -76,20 +76,17 @@ def _emit(lines, out):
     if out in (None, "-", "stdout"):
         sys.stdout.write(text)
     else:
-        with open(out, "w", newline="") as fh:
-            fh.write(text)
+        try:
+            with open(out, "w", newline="") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise UsageError("cannot write %s: %s" % (out, exc.strerror or exc))
 
 
-def _quad_spec(args):
-    return QuadratureSpec(relative_tolerance=args.quad_rtol)
-
-
-def cmd_gap(args):
+def cmd_gap(args, config):
     betas = sorted(args.betas)
     if not betas:
         raise UsageError("gap requires at least one beta value")
-    if any(b <= 0 for b in betas):
-        raise UsageError("all beta values must be > 0")
     lines = ["beta,gap_bits,gap_nats"]
     for b in betas:
         lines.append(",".join([_fmt(b), _fmt(gap(b, "bits")), _fmt(gap(b, "nats"))]))
@@ -97,9 +94,7 @@ def cmd_gap(args):
     return 0
 
 
-def cmd_capacity(args):
-    if args.beta <= 0:
-        raise UsageError("--beta must be > 0")
+def cmd_capacity(args, config):
     noise = _gg.with_variance(args.beta, 1.0)
     lines = ["snr_db,lower,upper"]
     for snr_db in _parse_range(args.snr_db):
@@ -110,22 +105,17 @@ def cmd_capacity(args):
     return 0
 
 
-def cmd_ergodic(args):
-    if args.beta <= 0 or args.alpha <= 0 or args.mu <= 0:
-        raise UsageError("--beta, --alpha and --mu must be > 0")
+def cmd_ergodic(args, config):
     law = _fading.unit_power(args.alpha, args.mu)
-    spec = _quad_spec(args)
     lines = ["snr_db,lower,upper"]
     for snr_db in _parse_range(args.snr_db):
-        bounds = ergodic_bounds(_db_to_linear(snr_db), law, args.beta, spec, args.units)
+        bounds = ergodic_bounds(_db_to_linear(snr_db), law, args.beta, config.quad_rtol, args.units)
         lines.append(",".join([_fmt(snr_db), _fmt(bounds.lower), _fmt(bounds.upper)]))
     _emit(lines, args.out)
     return 0
 
 
-def cmd_secrecy(args):
-    if args.beta_sd <= 0 or args.beta_se <= 0:
-        raise UsageError("--beta-sd and --beta-se must be > 0")
+def cmd_secrecy(args, config):
     snr_se = _db_to_linear(args.snr_se_db)
     condition = "printed" if args.as_printed else "derived"
     threshold = secrecy_threshold(args.beta_sd, args.beta_se, snr_se)
@@ -148,33 +138,18 @@ def cmd_secrecy(args):
     return 0
 
 
-def cmd_sample(args):
-    if args.count < 1:
-        raise UsageError("--count must be >= 1")
+def cmd_sample(args, config):
     if args.law == "gg":
-        if args.beta <= 0 or args.scale <= 0:
-            raise UsageError("--beta and --scale must be > 0")
-        law = _gg.GGNoise(beta=args.beta, scale=args.scale, mean=args.mean)
-        draws = _gg.sample(law, args.seed, args.count, chunks=args.chunks, threads=args.threads)
+        module, law = _gg, _gg.GGNoise(beta=args.beta, scale=args.scale, mean=args.mean)
     else:
-        if args.alpha <= 0 or args.mu <= 0 or args.h_root <= 0:
-            raise UsageError("--alpha, --mu and --h-root must be > 0")
-        law = _fading.AlphaMuFading(alpha=args.alpha, mu=args.mu, h_root=args.h_root)
-        draws = _fading.sample(law, args.seed, args.count, chunks=args.chunks, threads=args.threads)
+        module, law = _fading, _fading.AlphaMuFading(alpha=args.alpha, mu=args.mu, h_root=args.h_root)
+    draws = module.sample(law, config.seed, args.count, chunks=config.chunks, threads=config.threads)
     lines = ["value"] + [_fmt(v) for v in draws]
     _emit(lines, args.out)
     return 0
 
 
-def cmd_verify(args):
-    config = SimConfig(
-        seed=args.seed,
-        samples=args.samples,
-        chunks=args.chunks,
-        quadrature=_quad_spec(args),
-        units=args.units,
-        threads=args.threads,
-    )
+def cmd_verify(args, config):
     rows = _verify.run_checks(config, args.quick)
     width = max(len(r[0]) for r in rows)
     lines = []
@@ -249,11 +224,15 @@ def main(argv=None):
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        return args.func(args)
-    except UsageError as exc:
-        sys.stderr.write("usage error: %s\n" % exc)
-        return 1
-    except DomainError as exc:
+        config = SimConfig(
+            seed=args.seed,
+            samples=args.samples,
+            chunks=args.chunks,
+            quad_rtol=args.quad_rtol,
+            threads=args.threads,
+        )
+        return args.func(args, config)
+    except (UsageError, DomainError) as exc:
         sys.stderr.write("usage error: %s\n" % exc)
         return 1
     except QuadratureError as exc:

@@ -2,9 +2,9 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
-from .numerics import DEFAULT_QUADRATURE, DomainError, QuadratureSpec
+from .numerics import DEFAULT_RTOL, DomainError, real
 
 
 @dataclass(frozen=True)
@@ -14,18 +14,15 @@ class SimConfig:
     seed: int = 0
     samples: int = 100_000
     chunks: int = 8
-    quadrature: QuadratureSpec = field(default_factory=lambda: DEFAULT_QUADRATURE)
-    units: str = "bits"
+    quad_rtol: float = DEFAULT_RTOL
     threads: int = 1
 
     def __post_init__(self):
-        if int(self.seed) != self.seed or not 0 <= self.seed < 2**64:
+        for name, lowest in (("seed", 0), ("samples", 1), ("chunks", 1), ("threads", 1)):
+            value = getattr(self, name)
+            real(name, value, lowest, strict=False)
+            if value != int(value):
+                raise DomainError("%s must be an integer, got %r" % (name, value))
+        if self.seed >= 2**64:
             raise DomainError("seed must be a 64-bit unsigned integer")
-        if int(self.samples) != self.samples or self.samples < 1:
-            raise DomainError("samples must be a positive integer")
-        if int(self.chunks) != self.chunks or self.chunks < 1:
-            raise DomainError("chunks must be a positive integer")
-        if self.units not in ("bits", "nats"):
-            raise DomainError("units must be 'bits' or 'nats'")
-        if int(self.threads) != self.threads or self.threads < 1:
-            raise DomainError("threads must be a positive integer")
+        real("quad_rtol", self.quad_rtol, 0.0)

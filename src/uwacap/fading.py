@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import special as _special
 
-from .numerics import DomainError, log_gamma
+from .numerics import DomainError, log_gamma, real
 from .sampling import chunked_draw
 
 
@@ -27,9 +27,7 @@ class AlphaMuFading:
 
     def __post_init__(self):
         for name in ("alpha", "mu", "h_root"):
-            value = getattr(self, name)
-            if not (np.isscalar(value) and math.isfinite(float(value)) and value > 0):
-                raise DomainError("AlphaMuFading.%s must be a positive finite real" % name)
+            real("AlphaMuFading." + name, getattr(self, name), 0.0)
 
     @property
     def log_norm(self):
@@ -81,8 +79,7 @@ def cdf(law, h):
 
 def moment(law, k):
     """E{h**k} = h_root**k * Gamma(mu + k/alpha) / (mu**(k/alpha) * Gamma(mu))."""
-    if not (np.isscalar(k) and math.isfinite(float(k)) and k > 0):
-        raise DomainError("moment order k must be a positive finite real")
+    k = real("moment order k", k, 0.0)
     r = k / law.alpha
     return law.h_root**k * math.exp(log_gamma(law.mu + r) - log_gamma(law.mu) - r * math.log(law.mu))
 
@@ -103,36 +100,16 @@ def rayleigh(h_root=1.0):
 
 
 def nakagami(m, h_root=1.0):
-    if not (np.isscalar(m) and m > 0):
-        raise DomainError("Nakagami m must be > 0")
-    return AlphaMuFading(alpha=2.0, mu=float(m), h_root=h_root)
+    return AlphaMuFading(alpha=2.0, mu=real("Nakagami m", m, 0.0), h_root=h_root)
 
 
 def weibull(k, h_root=1.0):
-    if not (np.isscalar(k) and k > 0):
-        raise DomainError("Weibull k must be > 0")
-    return AlphaMuFading(alpha=float(k), mu=1.0, h_root=h_root)
-
-
-def special_case(name, param=None, h_root=1.0):
-    """Construct one of the named special cases: rayleigh, nakagami, weibull."""
-    if name == "rayleigh":
-        return rayleigh(h_root)
-    if name == "nakagami":
-        if param is None:
-            raise DomainError("nakagami requires the m parameter")
-        return nakagami(param, h_root)
-    if name == "weibull":
-        if param is None:
-            raise DomainError("weibull requires the k parameter")
-        return weibull(param, h_root)
-    raise DomainError("unknown special case %r" % (name,))
+    return AlphaMuFading(alpha=real("Weibull k", k, 0.0), mu=1.0, h_root=h_root)
 
 
 def unit_power(alpha, mu):
     """The (alpha, mu) law normalized so the average power gain E{h**2} is 1."""
-    if not (np.isscalar(alpha) and alpha > 0 and np.isscalar(mu) and mu > 0):
-        raise DomainError("alpha and mu must be > 0")
+    alpha, mu = real("alpha", alpha, 0.0), real("mu", mu, 0.0)
     r = 2.0 / alpha
     log_h_root = 0.5 * (r * math.log(mu) + log_gamma(mu) - log_gamma(mu + r))
-    return AlphaMuFading(alpha=float(alpha), mu=float(mu), h_root=math.exp(log_h_root))
+    return AlphaMuFading(alpha=alpha, mu=mu, h_root=math.exp(log_h_root))

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import special as _special
 
-from .numerics import DomainError, log_gamma, to_units
+from .numerics import DomainError, log_gamma, real, to_units
 from .sampling import chunked_draw
 
 
@@ -27,14 +27,9 @@ class GGNoise:
     mean: float = 0.0
 
     def __post_init__(self):
-        for name in ("beta", "scale", "mean"):
-            value = getattr(self, name)
-            if not (np.isscalar(value) and math.isfinite(float(value))):
-                raise DomainError("GGNoise.%s must be a finite real" % name)
-        if self.beta <= 0:
-            raise DomainError("GGNoise.beta must be > 0")
-        if self.scale <= 0:
-            raise DomainError("GGNoise.scale must be > 0")
+        real("GGNoise.beta", self.beta, 0.0)
+        real("GGNoise.scale", self.scale, 0.0)
+        real("GGNoise.mean", self.mean)
 
     @property
     def log_norm(self):
@@ -68,14 +63,11 @@ def variance(law):
 
 def with_variance(beta, target_variance, mean=0.0):
     """The GG law of shape ``beta`` whose variance is ``target_variance``."""
-    if not (np.isscalar(beta) and math.isfinite(float(beta)) and beta > 0):
-        raise DomainError("beta must be a positive finite real")
-    if not (np.isscalar(target_variance) and math.isfinite(float(target_variance)) and target_variance > 0):
-        raise DomainError("target_variance must be a positive finite real")
-    scale = math.sqrt(target_variance) * math.exp(
+    beta = real("beta", beta, 0.0)
+    scale = math.sqrt(real("target_variance", target_variance, 0.0)) * math.exp(
         0.5 * (log_gamma(1.0 / beta) - log_gamma(3.0 / beta))
     )
-    return GGNoise(beta=float(beta), scale=scale, mean=mean)
+    return GGNoise(beta=beta, scale=scale, mean=mean)
 
 
 def entropy(law, units="nats"):

@@ -1,4 +1,4 @@
-"""Special functions and adaptive quadrature shared by every other module.
+"""Domain validation, log-gamma and adaptive quadrature shared by every other module.
 
 All gamma-function ratios used elsewhere go through ``log_gamma`` so that
 small shape parameters cannot overflow Gamma(1/beta).
@@ -7,13 +7,16 @@ small shape parameters cannot overflow Gamma(1/beta).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+import numbers
 
-import numpy as np
 from scipy import integrate as _sci_integrate
 from scipy import special as _special
 
 LN2 = math.log(2.0)
+
+DEFAULT_RTOL = 1e-8  # default relative tolerance of adaptive quadrature
+ABSOLUTE_TOLERANCE = 1e-12
+MAX_SUBDIVISIONS = 200
 
 
 class DomainError(ValueError):
@@ -33,45 +36,24 @@ class QuadratureError(RuntimeError):
         self.error_indicator = error_indicator
 
 
-@dataclass(frozen=True)
-class QuadratureSpec:
-    relative_tolerance: float = 1e-8
-    absolute_tolerance: float = 1e-12
-    max_subdivisions: int = 200
+def real(name, value, lower=-math.inf, strict=True):
+    """``float(value)`` for a finite real above ``lower`` (or equal to it unless ``strict``).
 
-    def __post_init__(self):
-        if not (math.isfinite(self.relative_tolerance) and self.relative_tolerance > 0):
-            raise DomainError("relative_tolerance must be a positive finite real")
-        if not (math.isfinite(self.absolute_tolerance) and self.absolute_tolerance >= 0):
-            raise DomainError("absolute_tolerance must be nonnegative and finite")
-        if int(self.max_subdivisions) != self.max_subdivisions or self.max_subdivisions < 1:
-            raise DomainError("max_subdivisions must be a positive integer")
-
-
-DEFAULT_QUADRATURE = QuadratureSpec()
+    Anything else, including strings, arrays and NaN, raises DomainError.
+    """
+    try:
+        x = float(value) if isinstance(value, numbers.Real) else math.nan
+    except OverflowError:  # an int beyond the float range
+        x = math.nan
+    if math.isfinite(x) and (x > lower if strict else x >= lower):
+        return x
+    bound = "" if lower == -math.inf else " %s %g" % (">" if strict else ">=", lower)
+    raise DomainError("%s must be a finite real%s, got %r" % (name, bound, value))
 
 
 def log_gamma(x):
-    """ln Gamma(x) for x > 0; accepts scalars or arrays."""
-    arr = np.asarray(x, dtype=float)
-    if not np.all(np.isfinite(arr)) or np.any(arr <= 0):
-        raise DomainError("log_gamma requires finite x > 0")
-    out = _special.gammaln(arr)
-    return float(out) if out.ndim == 0 else out
-
-
-def gamma_ratio(a, b):
-    """Gamma(a)/Gamma(b), evaluated as exp(log_gamma(a) - log_gamma(b))."""
-    return math.exp(log_gamma(a) - log_gamma(b))
-
-
-def exp_integral_e1(x):
-    """Exponential integral E1(x) = int_x^inf exp(-t)/t dt for x > 0."""
-    arr = np.asarray(x, dtype=float)
-    if not np.all(np.isfinite(arr)) or np.any(arr <= 0):
-        raise DomainError("exp_integral_e1 requires finite x > 0")
-    out = _special.exp1(arr)
-    return float(out) if out.ndim == 0 else out
+    """ln Gamma(x) for a finite real x > 0."""
+    return float(_special.gammaln(real("log_gamma argument", x, 0.0)))
 
 
 def to_units(nats, units):
@@ -83,53 +65,21 @@ def to_units(nats, units):
     raise DomainError("units must be 'bits' or 'nats', got %r" % (units,))
 
 
-def _quad(f, a, b, spec, points=None):
-    out = _sci_integrate.quad(
-        f,
-        a,
-        b,
-        epsabs=spec.absolute_tolerance,
-        epsrel=spec.relative_tolerance,
-        limit=spec.max_subdivisions,
-        points=points,
-        full_output=True,
-    )
-    result, abserr = out[0], out[1]
-    if len(out) > 3:
-        # A flagged run whose error indicator still meets the tolerances is a
-        # success (QUADPACK warns on roundoff for extremely small integrals).
-        if abserr > max(spec.absolute_tolerance, spec.relative_tolerance * abs(result)):
-            raise QuadratureError(str(out[3]).strip(), estimate=result, error_indicator=abserr)
-    return result
+def integrate(f, lower, upper, rtol=DEFAULT_RTOL):
+    """Adaptive QUADPACK quadrature of f over [lower, upper]; either end may be infinite.
 
-
-def integrate(f, lower, upper, spec=DEFAULT_QUADRATURE, points=None):
-    """Adaptive quadrature of f over [lower, upper]; either end may be infinite.
-
-    Half-infinite domains are mapped onto (0, 1) with t = u/(1-u); the
-    doubly infinite line is split at zero. Raises QuadratureError (carrying
-    the best estimate) when the tolerances in ``spec`` cannot be met.
+    Raises QuadratureError (carrying the best estimate) when neither the
+    relative tolerance ``rtol`` nor the absolute tolerance 1e-12 is met.
     """
     if math.isnan(lower) or math.isnan(upper) or not lower < upper:
         raise DomainError("integration domain must satisfy lower < upper")
-    neg_inf = math.isinf(lower)
-    pos_inf = math.isinf(upper)
-    if neg_inf and pos_inf:
-        return integrate(f, lower, 0.0, spec) + integrate(f, 0.0, upper, spec)
-    if pos_inf:
-        a = lower
-
-        def g(u):
-            t = u / (1.0 - u)
-            return f(a + t) / (1.0 - u) ** 2
-
-        return _quad(g, 0.0, 1.0, spec)
-    if neg_inf:
-        b = upper
-
-        def g(u):
-            t = u / (1.0 - u)
-            return f(b - t) / (1.0 - u) ** 2
-
-        return _quad(g, 0.0, 1.0, spec)
-    return _quad(f, lower, upper, spec, points=points)
+    rtol = real("rtol", rtol, 0.0)
+    out = _sci_integrate.quad(
+        f, lower, upper, epsabs=ABSOLUTE_TOLERANCE, epsrel=rtol, limit=MAX_SUBDIVISIONS, full_output=True
+    )
+    result, abserr = out[0], out[1]
+    # A flagged run whose error indicator still meets the tolerances is a
+    # success (QUADPACK warns on roundoff for extremely small integrals).
+    if len(out) > 3 and abserr > max(ABSOLUTE_TOLERANCE, rtol * abs(result)):
+        raise QuadratureError(str(out[3]).strip(), estimate=result, error_indicator=abserr)
+    return result

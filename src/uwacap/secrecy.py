@@ -10,10 +10,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from .capacity import gap
-from .numerics import DomainError, log_gamma, to_units
+from .numerics import DomainError, log_gamma, real, to_units
 
 
 @dataclass(frozen=True)
@@ -26,21 +24,16 @@ class SecrecyScenario:
     beta_se: float
 
     def __post_init__(self):
-        for name in ("snr_sd", "snr_se"):
-            value = getattr(self, name)
-            if not (np.isscalar(value) and math.isfinite(float(value)) and value >= 0):
-                raise DomainError("SecrecyScenario.%s must be a nonnegative finite real" % name)
-        for name in ("beta_sd", "beta_se"):
-            value = getattr(self, name)
-            if not (np.isscalar(value) and math.isfinite(float(value)) and value > 0):
-                raise DomainError("SecrecyScenario.%s must be a positive finite real" % name)
+        real("SecrecyScenario.snr_sd", self.snr_sd, 0.0, strict=False)
+        real("SecrecyScenario.snr_se", self.snr_se, 0.0, strict=False)
+        real("SecrecyScenario.beta_sd", self.beta_sd, 0.0)
+        real("SecrecyScenario.beta_se", self.beta_se, 0.0)
 
 
 def secrecy_rate_awgn(snr_sd, snr_se, units="bits"):
     """max(0, 0.5*log(1+snr_sd) - 0.5*log(1+snr_se))."""
-    for value in (snr_sd, snr_se):
-        if not (np.isscalar(value) and math.isfinite(float(value)) and value >= 0):
-            raise DomainError("SNRs must be nonnegative finite linear ratios")
+    snr_sd = real("snr_sd", snr_sd, 0.0, strict=False)
+    snr_se = real("snr_se", snr_se, 0.0, strict=False)
     nats = 0.5 * (math.log1p(snr_sd) - math.log1p(snr_se))
     return to_units(max(0.0, nats), units)
 
@@ -93,19 +86,12 @@ def secrecy_positive(scenario, condition="derived"):
     raise DomainError("condition must be 'derived' or 'printed'")
 
 
-def secrecy_threshold(beta_sd, beta_se, snr_se, units="linear"):
-    """Smallest SNR_SD beyond which the secrecy rate turns positive.
+def secrecy_threshold(beta_sd, beta_se, snr_se):
+    """Smallest linear SNR_SD beyond which the secrecy rate turns positive.
 
     Closed form (1 + snr_se) * exp(2*(gap(beta_se) - gap(beta_sd))) - 1,
     clamped at 0; the rate is zero at the threshold and positive above it.
     """
-    if not (np.isscalar(snr_se) and math.isfinite(float(snr_se)) and snr_se >= 0):
-        raise DomainError("snr_se must be a nonnegative finite linear ratio")
+    snr_se = real("snr_se", snr_se, 0.0, strict=False)
     shift = 2.0 * (gap(beta_se, "nats") - gap(beta_sd, "nats"))
-    threshold = math.expm1(math.log1p(snr_se) + shift)
-    threshold = max(0.0, threshold)
-    if units == "linear":
-        return threshold
-    if units == "db":
-        return 10.0 * math.log10(threshold) if threshold > 0 else -math.inf
-    raise DomainError("units must be 'linear' or 'db'")
+    return max(0.0, math.expm1(math.log1p(snr_se) + shift))

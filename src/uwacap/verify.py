@@ -305,7 +305,7 @@ def gaussian_input_mi(config, units="bits", truncation_mass=1e-10, grid_points=2
 def run_checks(config, quick):
     """(name, measured, tolerance, passed) rows of the invariant suite.
 
-    ``config`` is a SimConfig (seed, sample budget, quadrature spec);
+    ``config`` is a SimConfig (seed, sample budget, quadrature tolerance);
     ``quick`` shrinks the beta/SNR sweep and the grids for a smoke run.
     """
     betas = (1.0, 2.0) if quick else (0.5, 0.8, 1.0, 1.5, 2.0, 3.0)
@@ -314,7 +314,7 @@ def run_checks(config, quick):
 
     for beta in betas:
         law = _gg.with_variance(beta, 1.0)
-        mass = integrate(lambda n: _gg.pdf(law, n), -math.inf, math.inf, config.quadrature)
+        mass = integrate(lambda n: _gg.pdf(law, n), -math.inf, math.inf, config.quad_rtol)
         rows.append(("pdf_mass beta=%g" % beta, abs(mass - 1.0), 1e-8, abs(mass - 1.0) <= 1e-8))
 
     for beta in betas:

@@ -174,6 +174,13 @@ class TestSampleCommand:
         code, _, _ = run_cli(capsys, "sample", "--law", "gg", "--beta", "-1")
         assert code == 1
 
+    @pytest.mark.parametrize("flags", [["--seed", "-1"], ["--threads", "0"], ["--chunks", "0"]])
+    def test_bad_global_flags(self, capsys, flags):
+        code, out, err = run_cli(capsys, *flags, "sample", "--law", "gg", "--count", "10")
+        assert code == 1
+        assert out == ""
+        assert err.startswith("usage error")
+
 
 class TestVerifyCommand:
     def test_quick_suite_passes(self, capsys):
@@ -203,3 +210,12 @@ class TestOutputFile:
         assert b"\r" not in data
         assert data.endswith(b"\n")
         assert data.decode().splitlines()[0] == "beta,gap_bits,gap_nats"
+
+    def test_unwritable_out_is_usage_error(self, tmp_path, capsys):
+        target = tmp_path / "missing" / "x.csv"
+        code, out, err = run_cli(capsys, "--out", str(target), "gap", "1")
+        assert code == 1
+        assert out == ""
+        assert err.startswith("usage error: cannot write")
+        assert "\n" not in err.rstrip("\n")
+        assert not target.parent.exists()

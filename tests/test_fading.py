@@ -122,22 +122,23 @@ class TestSampling:
 
 class TestSpecialCases:
     def test_rayleigh(self):
-        law = fading.special_case("rayleigh")
+        law = fading.rayleigh()
         assert (law.alpha, law.mu, law.h_root) == (2.0, 1.0, 1.0)
 
     def test_nakagami_one_is_rayleigh(self):
-        assert fading.special_case("nakagami", 1.0) == fading.rayleigh()
+        assert fading.nakagami(1.0) == fading.rayleigh()
 
     def test_weibull_two_is_rayleigh(self):
-        assert fading.special_case("weibull", 2.0) == fading.rayleigh()
+        assert fading.weibull(2.0) == fading.rayleigh()
 
     def test_invalid(self):
+        for bad in (-1.0, 0.0, math.inf, "1"):
+            with pytest.raises(DomainError):
+                fading.nakagami(bad)
+            with pytest.raises(DomainError):
+                fading.weibull(bad)
         with pytest.raises(DomainError):
-            fading.special_case("rician")
-        with pytest.raises(DomainError):
-            fading.nakagami(-1.0)
-        with pytest.raises(DomainError):
-            fading.special_case("nakagami")
+            fading.rayleigh(h_root=0.0)
 
 
 class TestUnitPower:

@@ -22,6 +22,7 @@ class TestScenario:
         {"snr_sd": -1.0, "snr_se": 1.0, "beta_sd": 2.0, "beta_se": 2.0},
         {"snr_sd": 1.0, "snr_se": 1.0, "beta_sd": 0.0, "beta_se": 2.0},
         {"snr_sd": 1.0, "snr_se": math.nan, "beta_sd": 2.0, "beta_se": 2.0},
+        {"snr_sd": 1.0, "snr_se": 1.0, "beta_sd": 2.0, "beta_se": "2"},
     ])
     def test_invalid(self, kwargs):
         with pytest.raises(DomainError):
@@ -145,7 +146,3 @@ class TestThreshold:
             assert secrecy.secrecy_rate_awggn(above) > 0.0
             assert not secrecy.secrecy_positive(below)
             assert secrecy.secrecy_positive(above)
-
-    def test_db_units(self):
-        assert secrecy.secrecy_threshold(2.0, 2.0, 1.0, "db") == pytest.approx(0.0, abs=1e-12)
-        assert secrecy.secrecy_threshold(2.0, 2.0, 0.0, "db") == -math.inf
