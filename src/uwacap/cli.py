@@ -33,8 +33,17 @@ from .secrecy import (
 )
 
 
+_MAX_ROWS = 10**7  # the most range values, draws or sampling chunks one command may build
+
+
 class UsageError(Exception):
     pass
+
+
+def _capped(what, count):
+    if not count <= _MAX_ROWS:
+        raise UsageError("%s must not exceed %d, got %s" % (what, _MAX_ROWS, count))
+    return count
 
 
 class _Parser(argparse.ArgumentParser):
@@ -67,6 +76,7 @@ def _parse_range(text):
     if (hi - lo) * step < 0:
         lo, hi = hi, lo
     lo, hi, step = min(lo, hi), max(lo, hi), abs(step)
+    _capped("range size", (hi - lo) / step + 1.0)  # before anything is built; inf too
     count = int(math.floor((hi - lo) / step + 1e-9)) + 1
     return [lo + k * step for k in range(count)]
 
@@ -143,7 +153,8 @@ def cmd_sample(args, config):
         module, law = _gg, _gg.GGNoise(beta=args.beta, scale=args.scale, mean=args.mean)
     else:
         module, law = _fading, _fading.AlphaMuFading(alpha=args.alpha, mu=args.mu, h_root=args.h_root)
-    draws = module.sample(law, config.seed, args.count, chunks=config.chunks, threads=config.threads)
+    count = _capped("--count", args.count)
+    draws = module.sample(law, config.seed, count, chunks=config.chunks, threads=config.threads)
     lines = ["value"] + [_fmt(v) for v in draws]
     _emit(lines, args.out)
     return 0
@@ -226,8 +237,8 @@ def main(argv=None):
         args = parser.parse_args(argv)
         config = SimConfig(
             seed=args.seed,
-            samples=args.samples,
-            chunks=args.chunks,
+            samples=_capped("--samples", args.samples),
+            chunks=_capped("--chunks", args.chunks),
             quad_rtol=args.quad_rtol,
             threads=args.threads,
         )

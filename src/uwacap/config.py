@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .numerics import DEFAULT_RTOL, DomainError, real
+from .numerics import DEFAULT_RTOL, DomainError, integer, real
 
 
 @dataclass(frozen=True)
@@ -19,10 +19,7 @@ class SimConfig:
 
     def __post_init__(self):
         for name, lowest in (("seed", 0), ("samples", 1), ("chunks", 1), ("threads", 1)):
-            value = getattr(self, name)
-            real(name, value, lowest, strict=False)
-            if value != int(value):
-                raise DomainError("%s must be an integer, got %r" % (name, value))
+            integer(name, getattr(self, name), lowest)
         if self.seed >= 2**64:
             raise DomainError("seed must be a 64-bit unsigned integer")
         real("quad_rtol", self.quad_rtol, 0.0)

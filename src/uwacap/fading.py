@@ -111,5 +111,7 @@ def unit_power(alpha, mu):
     """The (alpha, mu) law normalized so the average power gain E{h**2} is 1."""
     alpha, mu = real("alpha", alpha, 0.0), real("mu", mu, 0.0)
     r = 2.0 / alpha
-    log_h_root = 0.5 * (r * math.log(mu) + log_gamma(mu) - log_gamma(mu + r))
-    return AlphaMuFading(alpha=alpha, mu=mu, h_root=math.exp(log_h_root))
+    h_root = math.exp(0.5 * (r * math.log(mu) + log_gamma(mu) - log_gamma(mu + r)))
+    if h_root == 0.0:
+        raise DomainError("alpha=%r with mu=%r is out of range: the unit-power h_root underflows to 0" % (alpha, mu))
+    return AlphaMuFading(alpha=alpha, mu=mu, h_root=h_root)

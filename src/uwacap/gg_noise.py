@@ -64,9 +64,13 @@ def variance(law):
 def with_variance(beta, target_variance, mean=0.0):
     """The GG law of shape ``beta`` whose variance is ``target_variance``."""
     beta = real("beta", beta, 0.0)
-    scale = math.sqrt(real("target_variance", target_variance, 0.0)) * math.exp(
-        0.5 * (log_gamma(1.0 / beta) - log_gamma(3.0 / beta))
-    )
+    target_variance = real("target_variance", target_variance, 0.0)
+    scale = math.sqrt(target_variance) * math.exp(0.5 * (log_gamma(1.0 / beta) - log_gamma(3.0 / beta)))
+    if scale == 0.0:
+        raise DomainError(
+            "beta=%r with target_variance=%r is out of range: the GG scale underflows to 0"
+            % (beta, target_variance)
+        )
     return GGNoise(beta=beta, scale=scale, mean=mean)
 
 
@@ -82,8 +86,8 @@ def entropy(law, units="nats"):
 
 def tail_radius(law, mass):
     """Radius t with P(|N - mean| > t) = mass, via the inverse incomplete gamma."""
-    if not 0.0 < mass < 1.0:
-        raise DomainError("tail mass must lie in (0, 1)")
+    if not 0.0 < real("tail mass", mass) < 1.0:
+        raise DomainError("tail mass must lie in (0, 1), got %r" % (mass,))
     inv = 1.0 / law.beta
     return law.scale * float(_special.gammainccinv(inv, mass)) ** inv
 

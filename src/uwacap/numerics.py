@@ -51,6 +51,16 @@ def real(name, value, lower=-math.inf, strict=True):
     raise DomainError("%s must be a finite real%s, got %r" % (name, bound, value))
 
 
+def integer(name, value, lower):
+    """``int(value)`` for an integral real >= ``lower``; anything else raises DomainError."""
+    if isinstance(value, numbers.Integral) or (
+        isinstance(value, numbers.Real) and math.isfinite(value) and value == int(value)
+    ):
+        if value >= lower:
+            return int(value)
+    raise DomainError("%s must be an integer >= %d, got %r" % (name, lower, value))
+
+
 def log_gamma(x):
     """ln Gamma(x) for a finite real x > 0."""
     return float(_special.gammaln(real("log_gamma argument", x, 0.0)))

@@ -10,7 +10,7 @@ from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
-from .numerics import DomainError
+from .numerics import integer
 
 
 def chunk_rng(seed, index):
@@ -19,12 +19,9 @@ def chunk_rng(seed, index):
 
 
 def chunk_sizes(count, chunks):
-    if int(count) != count or count < 1:
-        raise DomainError("count must be a positive integer")
-    if int(chunks) != chunks or chunks < 1:
-        raise DomainError("chunks must be a positive integer")
-    base, extra = divmod(int(count), int(chunks))
-    return [base + (1 if i < extra else 0) for i in range(int(chunks))]
+    chunks = integer("chunks", chunks, 1)
+    base, extra = divmod(integer("count", count, 1), chunks)
+    return [base + (1 if i < extra else 0) for i in range(chunks)]
 
 
 def chunked_draw(draw, seed, count, chunks=8, threads=1):
@@ -34,6 +31,7 @@ def chunked_draw(draw, seed, count, chunks=8, threads=1):
     by chunk index, so any thread count yields identical output.
     """
     sizes = chunk_sizes(count, chunks)
+    seed, threads = integer("seed", seed, 0), integer("threads", threads, 1)
 
     def one(i):
         return draw(chunk_rng(seed, i), sizes[i])

@@ -11,7 +11,7 @@ import math
 from dataclasses import dataclass
 
 from .capacity import gap
-from .numerics import DomainError, log_gamma, real, to_units
+from .numerics import DomainError, real, to_units
 
 
 @dataclass(frozen=True)
@@ -38,31 +38,24 @@ def secrecy_rate_awgn(snr_sd, snr_se, units="bits"):
     return to_units(max(0.0, nats), units)
 
 
+def _margin(scenario):
+    """Unclamped difference of the two links' upper-bound expressions, in nats.
+
+    gap(beta) - gap(beta) is exactly 0, so equal shapes reduce exactly to
+    the AWGN difference.
+    """
+    return 0.5 * (math.log1p(scenario.snr_sd) - math.log1p(scenario.snr_se)) + (
+        gap(scenario.beta_sd, "nats") - gap(scenario.beta_se, "nats")
+    )
+
+
 def secrecy_rate_awggn(scenario, units="bits"):
     """Clamped difference of the two links' capacity upper-bound expressions.
 
     Reduces exactly to the AWGN rate when both shapes are equal (the gaps
     cancel), in particular at beta_sd = beta_se = 2.
     """
-    if scenario.beta_sd == scenario.beta_se:
-        return secrecy_rate_awgn(scenario.snr_sd, scenario.snr_se, units)
-    nats = (
-        0.5 * math.log1p(scenario.snr_sd)
-        + gap(scenario.beta_sd, "nats")
-        - 0.5 * math.log1p(scenario.snr_se)
-        - gap(scenario.beta_se, "nats")
-    )
-    return to_units(max(0.0, nats), units)
-
-
-def _log_printed_factor(beta):
-    # beta**2 * e**(1 - 1/beta) * Gamma(3/beta) / Gamma(1/beta)**3, in log form
-    return (
-        2.0 * math.log(beta)
-        + (1.0 - 1.0 / beta)
-        + log_gamma(3.0 / beta)
-        - 3.0 * log_gamma(1.0 / beta)
-    )
+    return to_units(max(0.0, _margin(scenario)), units)
 
 
 def secrecy_positive(scenario, condition="derived"):
@@ -70,19 +63,17 @@ def secrecy_positive(scenario, condition="derived"):
 
     ``condition='derived'`` (default) tests the condition implied by the
     rate formula itself: gap(beta_sd) + 0.5*log(1+snr_sd) strictly exceeds
-    the same expression for the eavesdropper link; it is exactly equivalent
-    to secrecy_rate_awggn > 0. ``condition='printed'`` evaluates the variant
-    with e**(1 - 1/beta) in the shape factor, kept for comparison; the two
-    differ whenever beta_sd != beta_se.
+    the same expression for the eavesdropper link; it is computed from the
+    same margin as secrecy_rate_awggn, so it is exactly equivalent to
+    secrecy_rate_awggn > 0. ``condition='printed'`` evaluates the variant
+    with e**(1 - 1/beta) in the shape factor, kept for comparison: it adds
+    0.5*(1/beta_sd - 1/beta_se) to the margin, so the two differ whenever
+    beta_sd != beta_se.
     """
     if condition == "derived":
-        lhs = 2.0 * gap(scenario.beta_sd, "nats") + math.log1p(scenario.snr_sd)
-        rhs = 2.0 * gap(scenario.beta_se, "nats") + math.log1p(scenario.snr_se)
-        return lhs > rhs
+        return _margin(scenario) > 0.0
     if condition == "printed":
-        lhs = _log_printed_factor(scenario.beta_sd) + math.log1p(scenario.snr_sd)
-        rhs = _log_printed_factor(scenario.beta_se) + math.log1p(scenario.snr_se)
-        return lhs > rhs
+        return _margin(scenario) + 0.5 * (1.0 / scenario.beta_sd - 1.0 / scenario.beta_se) > 0.0
     raise DomainError("condition must be 'derived' or 'printed'")
 
 

@@ -14,11 +14,18 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import special as _special
 
 from . import gg_noise as _gg
 from .capacity import ChannelConfig, awggn_bounds, gap
-from .numerics import DomainError, QuadratureError, integrate, to_units
+from .numerics import DomainError, QuadratureError, integer, integrate, to_units
+
+_CLUSTER_POWER = 4.0  # gg_density_grid offsets grow as u**4 away from the mean
+_GL_ORDER = 20  # Gauss-Legendre nodes per panel
+_PANEL_FACTOR = 2.0  # c: a regular panel spans a step of c in max(d/sqrt(P), (d/scale)**beta)
+_GRADING_RATIO = 0.2  # width ratio of successive panels graded into the cusp
+_GRADED_PANELS = 13  # innermost panel is 0.2**13 ~ 8e-10 of the first regular one
+_BLOCK_ELEMENTS = 2**18  # array elements evaluated at once
+_MAX_GRID_POINTS = 20_000  # output_density doubles its grid up to this size, then coarsens
 
 
 @dataclass(frozen=True)
@@ -67,7 +74,7 @@ def grid_entropy(grid):
     return float(np.trapezoid(integrand, grid.points))
 
 
-def gg_density_grid(law, truncation_mass=1e-8, points_per_side=200_000, cluster_power=4.0):
+def gg_density_grid(law, truncation_mass=1e-8, points_per_side=200_000):
     """Tabulate a GG density on a grid clustered around its mean.
 
     The power-law clustering resolves the cusp at the mean for beta < 2
@@ -77,7 +84,7 @@ def gg_density_grid(law, truncation_mass=1e-8, points_per_side=200_000, cluster_
     """
     radius = _gg.tail_radius(law, truncation_mass)
     u = np.linspace(0.0, 1.0, points_per_side + 1)
-    offsets = radius * u**cluster_power
+    offsets = radius * u**_CLUSTER_POWER
     points = np.concatenate([law.mean - offsets[:0:-1], law.mean + offsets])
     return DensityGrid(points, _gg.pdf(law, points), truncation_mass)
 
@@ -93,17 +100,6 @@ def mc_entropy(law, config):
     return estimate, std_error
 
 
-def _gaussian_tail_radius(var, mass):
-    return math.sqrt(2.0 * var) * float(_special.erfcinv(mass))
-
-
-_GL_ORDER = 20  # Gauss-Legendre nodes per panel
-_PANEL_FACTOR = 2.0  # c in the panel-width rule c * min(sqrt(P), l_N(d))
-_GRADING_RATIO = 0.2  # width ratio of successive panels graded into the cusp
-_GRADED_PANELS = 13  # innermost panel is 0.2**13 ~ 8e-10 of the first regular one
-_BLOCK_ELEMENTS = 2**18  # array elements evaluated at once
-
-
 @functools.cache
 def _gauss_legendre():
     return np.polynomial.legendre.leggauss(_GL_ORDER)
@@ -113,60 +109,32 @@ class _Panels:
     """Panel edges over the distance d = |n - mean| from the noise cusp.
 
     Regular panels lie between integer values of the stretched coordinate
-    u(d) = (1/c) * integral_0^d max(1/sqrt(P), 1/l_N(t)) dt, where
-    l_N(d) = scale * z**(1 - beta) / beta (z = d/scale) is the length over
-    which -z**beta changes by one. Each regular panel is therefore at most
-    c * min(sqrt(P), l_N(d)) wide. The two rates cross once, at ``knee``, so
-    u and its inverse have closed forms. The first regular panel [0, d1] is
-    replaced by geometric panels shrinking by ``_GRADING_RATIO`` toward the
-    cusp, where the density's derivatives are singular for non-even beta,
-    ending in an innermost panel [0, d1 * ratio**_GRADED_PANELS].
-    Panel j spans [edge(j), edge(j + 1)]; ``index`` is the inverse of ``edge``.
+    c * u(d) = max(d / sqrt(P), (d / scale)**beta), whose inverse is
+    d = min(t * sqrt(P), scale * t**(1 / beta)) for every beta. A panel is at
+    most c * sqrt(P) wide and spans at most c of the noise exponent, so it is
+    at most c * min(sqrt(P), l_N(d)) wide, l_N(d) = scale * z**(1 - beta) / beta
+    (z = d/scale), save up to a factor max(beta, 1/beta) between the value and
+    slope crossings of the two terms. The first regular panel [0, d1] is
+    replaced by panels graded by ``_GRADING_RATIO`` into the cusp, where the
+    density's derivatives are singular for non-even beta, ending in
+    [0, d1 * 0.2**13]. Panel j is [edge(j), edge(j + 1)]; ``index`` inverts ``edge``.
     """
 
-    def __init__(self, law, power, max_distance):
-        beta, scale = law.beta, law.scale
-        self.beta, self.scale = beta, scale
-        self.rate = 1.0 / math.sqrt(power)
-        # knee: where the noise rate beta * d**(beta - 1) / scale**beta
-        # equals 1/sqrt(P); clipped to the integration range so it stays finite
-        if beta == 1.0:
-            knee = 0.0 if scale <= math.sqrt(power) else max_distance
-        else:
-            log_knee = (math.log(self.rate) + beta * math.log(scale) - math.log(beta)) / (beta - 1.0)
-            knee = min(max_distance, math.exp(min(log_knee, 700.0)))
-        self.knee = knee
-        self.knee_noise = (knee / scale) ** beta
-        self.first = float(self._u_inverse(np.float64(_PANEL_FACTOR)))
+    def __init__(self, law, power):
+        self.beta, self.scale = law.beta, law.scale
+        self.root = math.sqrt(power)
+        self.first = float(self._distance(_PANEL_FACTOR))
         self.innermost = self.first * _GRADING_RATIO**_GRADED_PANELS
 
-    def _u(self, d):
-        """c * u(d): the noise term below the knee for beta < 1, above it otherwise."""
-        if self.beta < 1.0:
-            return (np.minimum(d, self.knee) / self.scale) ** self.beta + self.rate * np.maximum(
-                d - self.knee, 0.0
-            )
-        return self.rate * np.minimum(d, self.knee) + np.maximum(
-            (d / self.scale) ** self.beta - self.knee_noise, 0.0
-        )
+    def _stretch(self, d):
+        return np.maximum(d / self.root, (d / self.scale) ** self.beta)
 
-    def _u_inverse(self, t):
+    def _distance(self, t):
         """The d at which c * u(d) = t."""
-        if self.beta < 1.0:
-            return np.where(
-                t <= self.knee_noise,
-                self.scale * t ** (1.0 / self.beta),
-                self.knee + (t - self.knee_noise) / self.rate,
-            )
-        excess = np.maximum(t - self.rate * self.knee, 0.0)
-        return np.where(
-            excess == 0.0,
-            t / self.rate,
-            self.scale * (excess + self.knee_noise) ** (1.0 / self.beta),
-        )
+        return np.minimum(t * self.root, self.scale * t ** (1.0 / self.beta))
 
     def edge(self, j):
-        regular = self._u_inverse(_PANEL_FACTOR * np.maximum(j - _GRADED_PANELS, 1.0))
+        regular = self._distance(_PANEL_FACTOR * np.maximum(j - _GRADED_PANELS, 1.0))
         steps_in = _GRADED_PANELS + 1.0 - np.clip(j, 1.0, _GRADED_PANELS + 1.0)
         graded = self.first * _GRADING_RATIO**steps_in
         return np.where(j < 1.0, j * self.innermost, np.where(j <= _GRADED_PANELS, graded, regular))
@@ -178,7 +146,7 @@ class _Panels:
         return np.where(
             d < self.innermost,
             d / self.innermost,
-            np.where(d < self.first, graded, _GRADED_PANELS + self._u(d) / _PANEL_FACTOR),
+            np.where(d < self.first, graded, _GRADED_PANELS + self._stretch(d) / _PANEL_FACTOR),
         )
 
 
@@ -194,7 +162,7 @@ def _convolved_values(law, power, points, noise_radius, input_radius):
     per point with bincount.
     """
     nodes, weights = _gauss_legendre()
-    panels = _Panels(law, power, noise_radius)
+    panels = _Panels(law, power)
     mean = law.mean
     lo = np.maximum(mean - noise_radius, points - input_radius)
     hi = np.minimum(mean + noise_radius, points + input_radius)
@@ -229,60 +197,62 @@ def _convolved_values(law, power, points, noise_radius, input_radius):
     return values
 
 
-def output_density(config, truncation_mass=1e-10, grid_points=2001, max_grid_points=20_000):
+def output_density(config, truncation_mass=1e-10, grid_points=2001):
     """Density of Y = X + N with X ~ Normal(0, P), by vectorized convolution.
 
     Each value f_Y(y) = integral f_N(n) * phi_P(y - n) dn is composite
     Gauss-Legendre quadrature (20 nodes per panel) over the point's own
     window [y - R_X, y + R_X] cut to [mean - R_N, mean + R_N], where R_X and
-    R_N each leave half of ``truncation_mass`` in the input's and the
-    noise's tails. Panels are split at the noise cusp, at most
-    c * min(sqrt(P), l_N(d)) wide with c = 2, where
-    l_N(d) = scale * z**(1 - beta) / beta (z = |n - mean| / scale) is the
-    local length of the noise density, and graded geometrically (ratio 0.2)
-    into the cusp. Grid points are evaluated in blocks of about 2**18 array
-    elements, so memory stays bounded for any grid. Error model: pointwise
-    within 1e-9 relative of an mpmath oracle of the same windowed integral.
+    R_N each leave half of ``truncation_mass`` in the tails of the input
+    (the GG law with beta = 2, scale sqrt(2P)) and of the noise. Each panel
+    spans a step of c = 2 in max(d / sqrt(P), (d / scale)**beta), where
+    d = |n - mean|, and panels are graded (ratio 0.2) into the noise
+    cusp. Blocks of about 2**18 array elements bound memory for any
+    grid. Error model: pointwise within 1e-9 relative of an mpmath oracle of
+    the same windowed integral, measured for beta in [0.3, 20].
 
     The grid extends until each factor density's tail mass is below half of
     ``truncation_mass``. When the Gaussian smoothing scale sqrt(P) is too
     narrow for the grid step to resolve the noise peak, the grid is doubled;
-    if the trapezoidal error is still resolution-limited at the cap, the
-    returned grid declares the coarser truncation mass it can actually
+    if the trapezoidal error is still resolution-limited past 20,000 points,
+    the returned grid declares the coarser truncation mass it can actually
     certify (and its tails are cut to match), rather than overstating the
     accuracy. Raises QuadratureError if the grid mass has not landed in its
-    window after 24 attempts.
+    window after 24 attempts, or once the declared mass would reach 1/2.
     """
     if config.signal_power <= 0:
         raise DomainError("output_density requires signal_power > 0")
     law = config.noise
     power = float(config.signal_power)
+    gaussian = _gg.GGNoise(2.0, math.sqrt(2.0 * power))
+
+    def radii(mass):
+        return _gg.tail_radius(law, 0.5 * mass), _gg.tail_radius(gaussian, 0.5 * mass)
 
     # integration radii stay tied to the requested mass so each value keeps
     # its pointwise accuracy even when the declared mass has to be coarser
-    noise_radius = _gg.tail_radius(law, 0.5 * truncation_mass)
-    input_radius = _gaussian_tail_radius(power, 0.5 * truncation_mass)
+    noise_radius, input_radius = radii(truncation_mass)
 
     count = grid_points
     declared = truncation_mass
     for _ in range(24):
-        half_width = _gg.tail_radius(law, 0.5 * declared) + _gaussian_tail_radius(
-            power, 0.5 * declared
-        )
+        half_width = sum(radii(declared))
         points = law.mean + np.linspace(-half_width, half_width, count)
         values = _convolved_values(law, power, points, noise_radius, input_radius)
         mass = float(np.trapezoid(values, points))
         if 1.0 - 2.0 * declared <= mass <= 1.0 + 1e-12:
             return DensityGrid(points, values, declared)
-        if count < max_grid_points:
+        if count < _MAX_GRID_POINTS:
             count = 2 * count - 1
         else:
             # overshoot above the truncated mass 1 - declared; absorb it by
             # honestly declaring (and cutting) a matching truncation mass
             overshoot = mass - (1.0 - declared)
             declared = max(2.0 * declared, 4.0 * abs(overshoot))
+            if declared >= 0.5:
+                break
     raise QuadratureError(
-        "output_density grid mass never landed in [1 - 2*truncation_mass, 1] in 24 attempts",
+        "output_density grid mass never landed in [1 - 2*truncation_mass, 1]",
         estimate=mass,
         error_indicator=abs(mass - 1.0),
     )
@@ -363,6 +333,8 @@ def sphere_packing_ratio(beta, dimensions):
     Equals exp(K * (h(N_gaussian) - h(N_gg))) at equal noise variance: GG
     noise spheres are smaller, so more of them fit in the output sphere.
     """
-    if int(dimensions) != dimensions or dimensions < 1:
-        raise DomainError("dimensions must be a positive integer")
-    return math.exp(dimensions * gap(beta, "nats"))
+    dimensions = integer("dimensions", dimensions, 1)
+    try:
+        return math.exp(dimensions * gap(beta, "nats"))
+    except OverflowError:
+        raise DomainError("dimensions is too large: the packing ratio overflows a float") from None

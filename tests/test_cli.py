@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from uwacap import capacity
+from uwacap import capacity, cli, gg_noise
 from uwacap.cli import main
 
 
@@ -198,6 +198,43 @@ class TestVerifyCommand:
         code2, out2, _ = run_cli(capsys, "--samples", "5000", "--seed", "2", "verify", "--quick")
         assert code1 == code2 == 0
         assert out1 != out2  # estimates move with the seed
+
+
+class TestRowCap:
+    """Sizes over the cap are usage errors raised before anything is built."""
+
+    @pytest.fixture(autouse=True)
+    def small_cap(self, monkeypatch):
+        monkeypatch.setattr(cli, "_MAX_ROWS", 100)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("sampler called past the row cap")
+
+        monkeypatch.setattr(gg_noise, "sample", refuse)
+
+    def test_range_at_cap(self, capsys):
+        code, out, _ = run_cli(capsys, "--samples", "100", "capacity", "--beta", "2", "--snr-db=0:99:1")
+        assert code == 0
+        assert len(parse_csv(out)[1]) == 100
+
+    @pytest.mark.parametrize("snr_db", ["0:100:1", "0:1e9:1e-9", "-1e308:1e308:1"])
+    def test_range_over_cap(self, capsys, snr_db):
+        code, out, err = run_cli(capsys, "--samples", "100", "capacity", "--beta", "2", "--snr-db=" + snr_db)
+        assert (code, out) == (1, "")
+        assert err.startswith("usage error: range size must not exceed 100")
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["--samples", "100", "sample", "--law", "gg", "--count", "101"],
+            ["--samples", "100", "--chunks", "101", "sample", "--law", "gg", "--count", "10"],
+            ["--samples", "101", "verify", "--quick"],
+        ],
+    )
+    def test_sizes_over_cap(self, capsys, argv):
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out) == (1, "")
+        assert "must not exceed 100" in err
 
 
 class TestOutputFile:

@@ -29,6 +29,9 @@ def test_defaults():
         {"quad_rtol": -1e-8},
         {"quad_rtol": math.nan},
         {"quad_rtol": "1e-8"},
+        {"samples": "abc"},
+        {"chunks": None},
+        {"samples": math.inf},
     ],
 )
 def test_invalid(kwargs):

@@ -140,6 +140,10 @@ class TestSpecialCases:
         with pytest.raises(DomainError):
             fading.rayleigh(h_root=0.0)
 
+    def test_unit_power_underflow_names_arguments(self):
+        with pytest.raises(DomainError, match="^alpha=0.001 with mu=0.001"):
+            fading.unit_power(1e-3, 1e-3)
+
 
 class TestUnitPower:
     @pytest.mark.parametrize("alpha", PARAM_GRID)

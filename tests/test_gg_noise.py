@@ -74,6 +74,9 @@ class TestVariance:
             gg.with_variance(-1.0, 1.0)
         with pytest.raises(DomainError):
             gg.with_variance(1.0, 0.0)
+        # the scale underflows; the message names the caller's arguments
+        with pytest.raises(DomainError, match="^beta=0.001 with target_variance=1.0"):
+            gg.with_variance(1e-3, 1.0)
 
 
 class TestEntropy:
@@ -139,6 +142,25 @@ class TestSampling:
         with pytest.raises(DomainError):
             gg.sample(gg.GGNoise(2.0, 1.0), 0, 0)
 
+    @pytest.mark.parametrize(
+        "kwargs,name",
+        [
+            ({"seed": -1}, "seed"),
+            ({"seed": 1.5}, "seed"),
+            ({"threads": 0}, "threads"),
+            ({"count": "abc"}, "count"),
+            ({"count": None}, "count"),
+            ({"count": math.inf}, "count"),
+            ({"count": math.nan}, "count"),
+            ({"chunks": "abc"}, "chunks"),
+            ({"chunks": 0}, "chunks"),
+        ],
+    )
+    def test_bad_arguments_are_named(self, kwargs, name):
+        args = {"seed": 0, "count": 5, "chunks": 8, "threads": 1, **kwargs}
+        with pytest.raises(DomainError, match="^%s must be an integer" % name):
+            gg.sample(gg.GGNoise(2.0, 1.0), **args)
+
 
 class TestTailRadius:
     @pytest.mark.parametrize("beta", [0.5, 1.0, 2.0])
@@ -150,8 +172,9 @@ class TestTailRadius:
         assert numeric == pytest.approx(mass, rel=1e-6)
 
     def test_invalid_mass(self):
-        with pytest.raises(DomainError):
-            gg.tail_radius(gg.GGNoise(2.0, 1.0), 0.0)
+        for mass in (0.0, 1.0, math.nan, "abc", None):
+            with pytest.raises(DomainError, match="^tail mass must"):
+                gg.tail_radius(gg.GGNoise(2.0, 1.0), mass)
 
 
 def test_peakedness_decreases_with_beta_at_fixed_variance():

@@ -4,7 +4,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from uwacap.numerics import DomainError, QuadratureError, integrate, log_gamma, real
+from uwacap.numerics import DomainError, QuadratureError, integer, integrate, log_gamma, real
 
 
 class TestReal:
@@ -33,6 +33,22 @@ class TestReal:
     def test_rejects(self, value, lower, strict):
         with pytest.raises(DomainError, match="^x must be a finite real"):
             real("x", value, lower, strict)
+
+
+class TestInteger:
+    def test_accepts_integral_values_in_range(self):
+        assert integer("n", 3, 1) == 3 and type(integer("n", 3, 1)) is int
+        assert integer("n", 4.0, 1) == 4 and type(integer("n", 4.0, 1)) is int
+        assert integer("n", np.int64(0), 0) == 0
+        assert integer("n", 10**400, 1) == 10**400
+
+    @pytest.mark.parametrize(
+        "value,lower",
+        [(0, 1), (-1, 0), (2.5, 1), (math.nan, 1), (math.inf, 1), ("3", 1), (None, 1), (np.array([3]), 1)],
+    )
+    def test_rejects(self, value, lower):
+        with pytest.raises(DomainError, match="^n must be an integer >= %d" % lower):
+            integer("n", value, lower)
 
 
 class TestLogGamma:

@@ -82,6 +82,15 @@ class TestPositivity:
         for scenario in random_scenarios(10_000):
             positive = secrecy.secrecy_positive(scenario)
             assert positive == (secrecy.secrecy_rate_awggn(scenario) > 0.0)
+        # within a few ulp of the threshold, where the sign is decided by rounding
+        for base in random_scenarios(500, seed=11):
+            threshold = secrecy.secrecy_threshold(base.beta_sd, base.beta_se, base.snr_se)
+            for k in range(-3, 4):
+                scenario = secrecy.SecrecyScenario(
+                    threshold * (1.0 + k * 2.2e-16), base.snr_se, base.beta_sd, base.beta_se
+                )
+                positive = secrecy.secrecy_positive(scenario)
+                assert positive == (secrecy.secrecy_rate_awggn(scenario) > 0.0)
 
     def test_printed_variant_differs_for_unequal_shapes(self):
         # near the derived threshold the e**(1-1/beta) variant flips the verdict

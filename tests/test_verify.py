@@ -113,7 +113,15 @@ class TestOutputDensity:
         monkeypatch.setattr(verify, "_convolved_values", overshooting)
         config = capacity.ChannelConfig(1.0, gg.with_variance(1.0, 1.0))
         with pytest.raises(QuadratureError):
-            verify.output_density(config, grid_points=3, max_grid_points=16385)
+            verify.output_density(config, grid_points=3)
+
+    @pytest.mark.parametrize("beta", [0.2, 0.25])
+    def test_runaway_coarsening_raises(self, beta):
+        # the grid cannot resolve this peaked noise under so narrow an input,
+        # so the declared mass keeps growing; it must stop short of 1/2
+        config = capacity.ChannelConfig(1e-6, gg.with_variance(beta, 1.0))
+        with pytest.raises(QuadratureError):
+            verify.output_density(config)
 
 
 @mpmath.workdps(30)
@@ -147,12 +155,16 @@ class TestConvolutionOracle:
             (1.5, 10.0, 9.0),
             (1.0, 1e-6, 0.0),  # Gaussian window far narrower than the grid step
             (1.0, 1e-6, 2e-3),
+            (0.3, 1.0, 0.0),  # ends of the shape range the error model covers
+            (0.3, 0.01, 0.5),
+            (20.0, 1.0, 1.7),
+            (20.0, 100.0, 2.0),
         ],
     )
     def test_matches_mpmath(self, beta, power, y):
         law = gg.with_variance(beta, 1.0)
         noise_radius = gg.tail_radius(law, 0.5e-10)
-        input_radius = verify._gaussian_tail_radius(power, 0.5e-10)
+        input_radius = gg.tail_radius(gg.GGNoise(2.0, math.sqrt(2.0 * power)), 0.5e-10)
         got = verify._convolved_values(law, power, np.array([y]), noise_radius, input_radius)[0]
         want = _windowed_convolution(law, power, y, noise_radius, input_radius)
         assert want > 0
@@ -220,5 +232,7 @@ class TestSpherePacking:
         )
 
     def test_domain(self):
-        with pytest.raises(DomainError):
-            verify.sphere_packing_ratio(1.0, 0)
+        # the last two are integers whose ratio overflows a float
+        for dimensions in (0, 2.5, "abc", math.inf, math.nan, None, 10**6, 10**400):
+            with pytest.raises(DomainError, match="^dimensions"):
+                verify.sphere_packing_ratio(1.0, dimensions)
