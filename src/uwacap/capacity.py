@@ -30,7 +30,8 @@ def gap(beta, units="bits"):
         - math.log(2.0)
         - 3.0 * log_gamma(1.0 / b)
     )
-    return to_units(nats, units)
+    # rounding leaves about -1e-16 for some beta within 1.3e-7 of 2
+    return to_units(max(0.0, nats), units)
 
 
 def awgn_capacity(snr, units="bits"):

@@ -9,7 +9,6 @@ from __future__ import annotations
 import math
 import numbers
 
-from scipy import integrate as _sci_integrate
 from scipy import special as _special
 
 LN2 = math.log(2.0)
@@ -84,6 +83,8 @@ def integrate(f, lower, upper, rtol=DEFAULT_RTOL):
     if math.isnan(lower) or math.isnan(upper) or not lower < upper:
         raise DomainError("integration domain must satisfy lower < upper")
     rtol = real("rtol", rtol, 0.0)
+    from scipy import integrate as _sci_integrate  # loaded on first use: it is slow to import
+
     out = _sci_integrate.quad(
         f, lower, upper, epsabs=ABSOLUTE_TOLERANCE, epsrel=rtol, limit=MAX_SUBDIVISIONS, full_output=True
     )

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from uwacap import capacity, cli, gg_noise
+from uwacap import capacity, cli, gg_noise, verify
 from uwacap.cli import main
 
 
@@ -50,6 +50,26 @@ class TestGapCommand:
     def test_nonpositive_beta_is_usage_error(self, capsys):
         code, _, _ = run_cli(capsys, "gap", "-1")
         assert code == 1
+
+
+class TestGapNearTwo:
+    """Rounding used to leave gap() about -1e-16 nats for some beta near 2."""
+
+    def test_gap_prints_zero(self, capsys):
+        code, out, _ = run_cli(capsys, "gap", "1.9999999")
+        assert code == 0
+        assert parse_csv(out)[1] == [["1.9999999", "0", "0"]]
+
+    def test_capacity_bounds_coincide(self, capsys):
+        code, out, err = run_cli(capsys, "capacity", "--beta", "1.9999999", "--snr-db", "0")
+        assert (code, err) == (0, "")
+        assert parse_csv(out)[1] == [["0", "0.5", "0.5"]]
+
+    def test_ergodic_bounds_coincide(self, capsys):
+        code, out, err = run_cli(capsys, "ergodic", "--alpha", "2", "--beta", "2.00000004", "--snr-db", "0")
+        assert (code, err) == (0, "")
+        (row,) = parse_csv(out)[1]
+        assert row[1] == row[2]
 
 
 class TestCapacityCommand:
@@ -198,6 +218,21 @@ class TestVerifyCommand:
         code2, out2, _ = run_cli(capsys, "--samples", "5000", "--seed", "2", "verify", "--quick")
         assert code1 == code2 == 0
         assert out1 != out2  # estimates move with the seed
+
+    def test_missed_grid_mass_is_a_failed_row(self, capsys, monkeypatch):
+        # 40 points per side cannot hold a GG density's mass in its window
+        coarse = verify.gg_density_grid
+
+        def too_coarse(law, truncation_mass=1e-8, points_per_side=200_000):
+            return coarse(law, truncation_mass, points_per_side=40)
+
+        monkeypatch.setattr(verify, "gg_density_grid", too_coarse)
+        code, out, err = run_cli(capsys, "--samples", "2000", "verify", "--quick")
+        assert (code, err) == (3, "")
+        grid_rows = [line for line in out.splitlines() if line.startswith("grid_mass")]
+        assert len(grid_rows) == 2
+        assert all(line.endswith(" FAIL") for line in grid_rows)
+        assert [line for line in out.splitlines() if line.startswith("output_mass")][0].endswith(" PASS")
 
 
 class TestRowCap:

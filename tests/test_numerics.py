@@ -1,9 +1,14 @@
 import math
+import os
+import pathlib
+import subprocess
+import sys
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
+import uwacap
 from uwacap.numerics import DomainError, QuadratureError, integer, integrate, log_gamma, real
 
 
@@ -107,3 +112,12 @@ class TestIntegrate:
             integrate(math.exp, math.nan, 1.0)
         with pytest.raises(DomainError):
             integrate(math.exp, 0.0, 1.0, 0.0)
+
+
+def test_cli_import_leaves_scipy_integrate_unloaded():
+    # scipy.integrate costs about 0.2 s of every cold CLI call that does no quadrature
+    src = str(pathlib.Path(uwacap.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    code = "import sys, uwacap.cli; print('scipy.integrate' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout == "False\n"

@@ -22,8 +22,16 @@ class TestDensityGrid:
 
     def test_rejects_lost_mass(self):
         points = np.linspace(-1.0, 1.0, 100)
-        with pytest.raises(DomainError):
-            verify.DensityGrid(points, np.full_like(points, 0.2), 1e-8)
+        assert not verify.DensityGrid(points, np.full_like(points, 0.2), 1e-8).landed
+
+    @pytest.mark.parametrize(
+        "mass,landed",
+        [(1.0 - 1.5e-8, True), (1.0 + 0.5e-12, True), (1.0 - 3e-8, False), (1.0 + 3e-12, False)],
+    )
+    def test_landed_window(self, mass, landed):
+        # the window is [1 - 2*truncation_mass, 1], with 1e-12 of rounding above 1
+        points = np.linspace(0.0, 1.0, 3)
+        assert verify.DensityGrid(points, np.full(3, mass), 1e-8).landed is landed
 
     def test_uniform_density(self):
         points = np.linspace(0.0, 1.0, 1000)
@@ -89,14 +97,21 @@ class TestOutputDensity:
         assert np.max(np.abs(grid.values - analytic)) < 1e-8
 
     def test_vanishing_input_degenerates_to_noise(self):
+        # output_density cannot certify this grid's mass (see
+        # test_uncertifiable_mass_raises), but each convolved value on it
+        # still approaches the noise pdf
         noise = gg.with_variance(1.0, 1.0)
-        config = capacity.ChannelConfig(1e-12 * gg.variance(noise), noise)
-        grid = verify.output_density(config)
-        assert np.max(np.abs(grid.values - gg.pdf(noise, grid.points))) < 1e-6
+        power = 1e-12 * gg.variance(noise)
+        noise_radius = gg.tail_radius(noise, 0.5e-10)
+        input_radius = gg.tail_radius(gg.GGNoise(2.0, math.sqrt(2.0 * power)), 0.5e-10)
+        points = np.linspace(-1.0, 1.0, 2001) * (noise_radius + input_radius)
+        values = verify._convolved_values(noise, power, points, noise_radius, input_radius)
+        assert np.max(np.abs(values - gg.pdf(noise, points))) < 1e-6
 
     def test_mass_conservation(self):
         config = capacity.ChannelConfig(1.0, gg.with_variance(1.0, 1.0))
         grid = verify.output_density(config)
+        assert grid.landed
         assert abs(grid.mass - 1.0) <= 2.0 * grid.truncation_mass
         assert 1.0 - 1e-9 <= grid.mass <= 1.0 + 1e-12
 
@@ -106,7 +121,7 @@ class TestOutputDensity:
 
     def test_unlanded_mass_raises(self, monkeypatch):
         # a kernel whose trapezoid mass is always 1 + 2e-12, just above the
-        # window, so neither doubling nor coarsening can ever land it
+        # window, so no doubling can ever land it
         def overshooting(law, power, points, noise_radius, input_radius):
             return np.full(len(points), (1.0 + 2e-12) / (points[-1] - points[0]))
 
@@ -116,12 +131,28 @@ class TestOutputDensity:
             verify.output_density(config, grid_points=3)
 
     @pytest.mark.parametrize("beta", [0.2, 0.25])
-    def test_runaway_coarsening_raises(self, beta):
+    def test_runaway_coarsening_raises(self, beta, monkeypatch):
         # the grid cannot resolve this peaked noise under so narrow an input,
-        # so the declared mass keeps growing; it must stop short of 1/2
+        # so its mass misses the window at every size from 2001 to 32001 points
+        sizes = []
+        convolve = verify._convolved_values
+
+        def counting(law, power, points, noise_radius, input_radius):
+            sizes.append(len(points))
+            return convolve(law, power, points, noise_radius, input_radius)
+
+        monkeypatch.setattr(verify, "_convolved_values", counting)
         config = capacity.ChannelConfig(1e-6, gg.with_variance(beta, 1.0))
-        with pytest.raises(QuadratureError):
+        with pytest.raises(QuadratureError) as info:
             verify.output_density(config)
+        assert info.value.estimate > 1.0 + 1e-12
+        assert sizes == [2001, 4001, 8001, 16001, 32001]
+
+    def test_grid_points_must_be_an_integer(self):
+        config = capacity.ChannelConfig(1.0, gg.with_variance(1.0, 1.0))
+        for bad in (1, 0, 2.5, "2001"):
+            with pytest.raises(DomainError, match="^grid_points"):
+                verify.output_density(config, grid_points=bad)
 
 
 @mpmath.workdps(30)
@@ -200,6 +231,14 @@ class TestGaussianInputMI:
         mi = verify.gaussian_input_mi(config)
         bounds = capacity.awggn_bounds(config)
         assert bounds.lower - 1e-4 <= mi <= bounds.upper + 1e-4
+
+    @pytest.mark.parametrize("beta,power", [(0.3, 1e-8), (1.0, 1e-12)])
+    def test_uncertifiable_mass_raises(self, beta, power):
+        # these grids used to be returned with a coarsened truncation mass,
+        # and at beta 0.3 the mutual information came out at -0.969 bits
+        config = capacity.ChannelConfig(power, gg.with_variance(beta, 1.0))
+        with pytest.raises(QuadratureError):
+            verify.gaussian_input_mi(config)
 
     def test_vanishing_power(self):
         # small-P expansion: I = P * J(N) / 2 + O(P^2) nats, and the
