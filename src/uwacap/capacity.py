@@ -19,9 +19,38 @@ from . import gg_noise as _gg
 from .numerics import DEFAULT_RTOL, DomainError, integrate, log_gamma, real, to_units
 
 
+# c_2 ... c_24 of the Taylor series gap(beta) = sum_k c_k * h**k nats in
+# h = 1/beta - 1/2 (DLMF 5.15):
+#     c_k = (2*(-2)**k/k + (3**k * psi^(k-1)(3/2) - 3 * psi^(k-1)(1/2)) / k!) / 2.
+# The constant and linear terms vanish, and so do the log singularities of the
+# three terms at h = -1/2, so the series converges for |h| < 5/6.
+_GAP_SERIES = (
+    0.40220330081701894, -0.32425995513530664, 0.2897729302539605, -0.2742498266672252,
+    0.2697474203945627, -0.27302634779790247, 0.28262476627120625, -0.2979048688482027,
+    0.3186853040520077, -0.3450837463348079, 0.37744628324713503, -0.41631746768705913,
+    0.4624320868655208, -0.5167203731094735, 0.5803229638202839, -0.6546140666027508,
+    0.7412324017528423, -0.8421201544415571, 0.9595706258910397, -1.0962856450763578,
+    1.2554441502721962, -1.4407837074519358, 1.6566971229285532,
+)
+
+
 def gap(beta, units="bits"):
-    """The shape-only capacity gap; >= 0 everywhere, zero only at beta = 2."""
+    """The shape-only capacity gap; > 0 everywhere except at beta = 2, where it is 0.
+
+    For 1.5 <= beta <= 2.5 it is the Taylor series above, summed to k = 24 in
+    h = (2 - beta) / (2 * beta), where 2 - beta is exact; elsewhere it is the
+    closed form. The closed form adds O(1) log-gamma terms whose sum is
+    O((beta - 2)**2), so it loses digits as beta nears 2 (4e-8 relative at
+    beta = 2.001). For beta in [0.1, 20] the result is within 1e-12 relative
+    of the exact gap.
+    """
     b = real("beta", beta, 0.0)
+    if 1.5 <= b <= 2.5:
+        h = (2.0 - b) / (2.0 * b)
+        poly = 0.0
+        for c in reversed(_GAP_SERIES):
+            poly = poly * h + c
+        return to_units(poly * h * h, units)
     nats = 0.5 * (
         2.0 * math.log(b)
         + math.log(math.pi)
@@ -30,8 +59,7 @@ def gap(beta, units="bits"):
         - math.log(2.0)
         - 3.0 * log_gamma(1.0 / b)
     )
-    # rounding leaves about -1e-16 for some beta within 1.3e-7 of 2
-    return to_units(max(0.0, nats), units)
+    return to_units(nats, units)
 
 
 def awgn_capacity(snr, units="bits"):

@@ -16,7 +16,6 @@ import sys
 
 from . import fading as _fading
 from . import gg_noise as _gg
-from . import verify as _verify
 from .capacity import (
     ChannelConfig,
     awggn_bounds,
@@ -161,6 +160,8 @@ def cmd_sample(args, config):
 
 
 def cmd_verify(args, config):
+    from . import verify as _verify  # numpy and SciPy load only for the commands that use them
+
     rows = _verify.run_checks(config, args.quick)
     width = max(len(r[0]) for r in rows)
     lines = []

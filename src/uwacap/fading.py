@@ -12,11 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-from scipy import special as _special
-
 from .numerics import DomainError, log_gamma, real
-from .sampling import chunked_draw
 
 
 @dataclass(frozen=True)
@@ -41,6 +37,8 @@ class AlphaMuFading:
 
 
 def log_pdf(law, h):
+    import numpy as np  # loaded on first use, so the closed forms never import it
+
     arr = np.asarray(h, dtype=float)
     if np.any(arr < 0) or not np.all(np.isfinite(arr)):
         raise DomainError("channel gain must be finite and >= 0")
@@ -65,11 +63,16 @@ def _log_pdf_at_zero(law):
 
 
 def pdf(law, h):
+    import numpy as np
+
     return np.exp(log_pdf(law, h))
 
 
 def cdf(law, h):
     """P(H <= h): regularized lower incomplete gamma of mu*(h/h_root)**alpha."""
+    import numpy as np
+    from scipy import special as _special
+
     arr = np.asarray(h, dtype=float)
     if np.any(arr < 0):
         raise DomainError("channel gain must be >= 0")
@@ -86,6 +89,8 @@ def moment(law, k):
 
 def sample(law, seed, count, chunks=8, threads=1):
     """``count`` i.i.d. draws via h = h_root * (G/mu)**(1/alpha), G ~ Gamma(mu, 1)."""
+    from .sampling import chunked_draw
+
     inv = 1.0 / law.alpha
 
     def draw(rng, n):

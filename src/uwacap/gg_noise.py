@@ -11,11 +11,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-from scipy import special as _special
-
 from .numerics import DomainError, log_gamma, real, to_units
-from .sampling import chunked_draw
 
 
 @dataclass(frozen=True)
@@ -43,6 +39,8 @@ class GGNoise:
 
 def log_pdf(law, n):
     """ln pdf evaluated directly; never round-trips through pdf()."""
+    import numpy as np  # loaded on first use, so the closed forms never import it
+
     arr = np.asarray(n, dtype=float)
     if not np.all(np.isfinite(arr)):
         raise DomainError("noise amplitude must be finite")
@@ -52,6 +50,8 @@ def log_pdf(law, n):
 
 
 def pdf(law, n):
+    import numpy as np
+
     return np.exp(log_pdf(law, n))
 
 
@@ -88,6 +88,8 @@ def tail_radius(law, mass):
     """Radius t with P(|N - mean| > t) = mass, via the inverse incomplete gamma."""
     if not 0.0 < real("tail mass", mass) < 1.0:
         raise DomainError("tail mass must lie in (0, 1), got %r" % (mass,))
+    from scipy import special as _special
+
     inv = 1.0 / law.beta
     return law.scale * float(_special.gammainccinv(inv, mass)) ** inv
 
@@ -98,6 +100,8 @@ def sample(law, seed, count, chunks=8, threads=1):
     Uses the exact representation N = mean + S * scale * G**(1/beta) with S a
     fair sign and G ~ Gamma(1/beta, 1).
     """
+    from .sampling import chunked_draw
+
     inv = 1.0 / law.beta
 
     def draw(rng, n):

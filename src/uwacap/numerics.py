@@ -1,15 +1,14 @@
 """Domain validation, log-gamma and adaptive quadrature shared by every other module.
 
 All gamma-function ratios used elsewhere go through ``log_gamma`` so that
-small shape parameters cannot overflow Gamma(1/beta).
+small shape parameters cannot overflow Gamma(1/beta). ``log_gamma`` is
+``math.lgamma``, so the closed forms need neither numpy nor SciPy.
 """
 
 from __future__ import annotations
 
 import math
 import numbers
-
-from scipy import special as _special
 
 LN2 = math.log(2.0)
 
@@ -61,8 +60,15 @@ def integer(name, value, lower):
 
 
 def log_gamma(x):
-    """ln Gamma(x) for a finite real x > 0."""
-    return float(_special.gammaln(real("log_gamma argument", x, 0.0)))
+    """ln Gamma(x) for a finite real x > 0, by ``math.lgamma``.
+
+    A result beyond the float range (x above about 2.5e305) raises DomainError.
+    """
+    x = real("log_gamma argument", x, 0.0)
+    try:
+        return math.lgamma(x)
+    except OverflowError:
+        raise DomainError("log_gamma argument %r is too large: ln Gamma overflows a float" % x) from None
 
 
 def to_units(nats, units):

@@ -1,5 +1,6 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from scipy.special import exp1
@@ -46,6 +47,51 @@ class TestGap:
                 capacity.gap(bad)
         with pytest.raises(DomainError):
             capacity.gap(2.0, "decibans")
+
+
+# beta = 2 +- 10**-k for k = 1..12, the edges of the series interval with
+# their float neighbours, and [0.1, 20] in steps of 0.01
+NEAR_TWO = [2.0 + s * 10.0**-k for k in range(1, 13) for s in (1.0, -1.0)]
+SERIES_EDGES = [1.5, 2.5, math.nextafter(1.5, 0.0), math.nextafter(2.5, 3.0)]
+GAP_SWEEP = [round(0.1 + 0.01 * i, 2) for i in range(1991)]
+
+
+@mpmath.workdps(60)
+def exact_gap_nats(beta):
+    """The closed form in 60-digit arithmetic, which absorbs its cancellation near beta = 2."""
+    b = mpmath.mpf(beta)
+    return (
+        2 * mpmath.log(b) + mpmath.log(mpmath.pi) + 1 - 2 / b
+        + mpmath.loggamma(3 / b) - mpmath.log(2) - 3 * mpmath.loggamma(1 / b)
+    ) / 2
+
+
+class TestGapSeries:
+    """The Taylor series that evaluates gap() for 1.5 <= beta <= 2.5."""
+
+    @mpmath.workdps(50)
+    def test_coefficients_regenerate(self):
+        half, three_halves = mpmath.mpf(1) / 2, mpmath.mpf(3) / 2
+        for k, stored in enumerate(capacity._GAP_SERIES, start=2):
+            c_k = (
+                2 * (-2) ** k / mpmath.mpf(k)
+                + (3**k * mpmath.psi(k - 1, three_halves) - 3 * mpmath.psi(k - 1, half)) / mpmath.factorial(k)
+            ) / 2
+            assert abs(stored - float(c_k)) <= math.ulp(stored), k
+        assert len(capacity._GAP_SERIES) == 23
+
+    def test_matches_mpmath(self):
+        for beta in NEAR_TWO + SERIES_EDGES + GAP_SWEEP:
+            if beta == 2.0:
+                continue
+            exact = exact_gap_nats(beta)
+            assert abs(capacity.gap(beta, "nats") - exact) <= 1e-12 * abs(exact), beta
+
+    def test_positive_except_at_two(self):
+        neighbours = [math.nextafter(2.0, 0.0), math.nextafter(2.0, 3.0)]
+        for beta in NEAR_TWO + SERIES_EDGES + GAP_SWEEP + neighbours:
+            assert (capacity.gap(beta, "nats") > 0.0) is (beta != 2.0), beta
+        assert capacity.gap(2.0, "nats") == 0.0
 
 
 class TestAwgnCapacity:

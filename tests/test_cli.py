@@ -51,14 +51,21 @@ class TestGapCommand:
         code, _, _ = run_cli(capsys, "gap", "-1")
         assert code == 1
 
+    def test_log_gamma_overflow_is_usage_error(self, capsys):
+        # ln Gamma(3/beta) overflows a float: a usage error, not a silent 0
+        code, out, err = run_cli(capsys, "gap", "1e-306")
+        assert (code, out) == (1, "")
+        assert err.startswith("usage error: log_gamma argument 3e+306 is too large")
+
 
 class TestGapNearTwo:
-    """Rounding used to leave gap() about -1e-16 nats for some beta near 2."""
+    """The closed form of gap() cancels near beta = 2; its printed digits must not."""
 
     def test_gap_prints_zero(self, capsys):
+        # the mpmath value to 9 digits; the gap is zero only at beta = 2
         code, out, _ = run_cli(capsys, "gap", "1.9999999")
         assert code == 0
-        assert parse_csv(out)[1] == [["1.9999999", "0", "0"]]
+        assert parse_csv(out)[1] == [["1.9999999", "3.62660472e-16", "2.51377083e-16"]]
 
     def test_capacity_bounds_coincide(self, capsys):
         code, out, err = run_cli(capsys, "capacity", "--beta", "1.9999999", "--snr-db", "0")

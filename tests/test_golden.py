@@ -5,12 +5,20 @@ Each case's stdout is ``data/<stem>.csv``; its stderr is
 and ``sample`` are left out: their last digits depend on the SciPy and numpy
 versions. Rewrite the files (``python tests/test_golden.py``) only for an
 intended change of output.
+
+These commands need neither numpy nor SciPy: this file runs without them
+installed, and one test runs every case with both blocked.
 """
 
+import json
+import os
 import pathlib
+import subprocess
+import sys
 
 import pytest
 
+import uwacap
 from uwacap.cli import main
 
 DATA = pathlib.Path(__file__).resolve().parent / "data"
@@ -35,6 +43,38 @@ def test_output_matches_golden(stem, capsys):
     stderr = DATA / (stem + ".stderr")
     assert captured.out == (DATA / (stem + ".csv")).read_text()
     assert captured.err == (stderr.read_text() if stderr.exists() else "")
+
+
+BLOCKED_RUN = """
+import contextlib, io, json, sys
+
+sys.modules["numpy"] = sys.modules["scipy"] = None  # importing either now raises ImportError
+from uwacap.cli import main
+
+results = {}
+for stem, argv in json.loads(sys.argv[1]).items():
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    results[stem] = [code, out.getvalue(), err.getvalue()]
+json.dump(results, sys.stdout)
+"""
+
+
+def test_cases_run_with_numpy_and_scipy_blocked():
+    src = str(pathlib.Path(uwacap.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    run = subprocess.run(
+        [sys.executable, "-c", BLOCKED_RUN, json.dumps(CASES)], env=env, capture_output=True, text=True
+    )
+    assert run.returncode == 0, run.stderr
+    results = json.loads(run.stdout)
+    assert sorted(results) == sorted(CASES)
+    for stem, (code, out, err) in results.items():
+        stderr = DATA / (stem + ".stderr")
+        assert code == 0, stem
+        assert out == (DATA / (stem + ".csv")).read_text(), stem
+        assert err == (stderr.read_text() if stderr.exists() else ""), stem
 
 
 if __name__ == "__main__":

@@ -67,6 +67,12 @@ class TestLogGamma:
         with pytest.raises(DomainError):
             log_gamma(bad)
 
+    def test_overflow(self):
+        # math.lgamma raises OverflowError past about 2.5e305
+        assert log_gamma(2e305) == pytest.approx(2e305 * (math.log(2e305) - 1.0), rel=1e-12)
+        with pytest.raises(DomainError, match="overflows"):
+            log_gamma(3e305)
+
     def test_recurrence_grid(self):
         # ln Gamma(x+1) = ln Gamma(x) + ln x on x = 0.1, 0.2, ..., 50
         for x in np.arange(0.1, 50.05, 0.1):
@@ -114,10 +120,25 @@ class TestIntegrate:
             integrate(math.exp, 0.0, 1.0, 0.0)
 
 
-def test_cli_import_leaves_scipy_integrate_unloaded():
-    # scipy.integrate costs about 0.2 s of every cold CLI call that does no quadrature
+def run_fresh(code):
+    """stdout of ``code`` run in a fresh interpreter with this package on the path."""
     src = str(pathlib.Path(uwacap.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-    code = "import sys, uwacap.cli; print('scipy.integrate' in sys.modules)"
-    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
-    assert out.stdout == "False\n"
+    return subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True).stdout
+
+
+def test_cli_import_leaves_scipy_integrate_unloaded():
+    # scipy.integrate costs about 0.2 s of every cold CLI call that does no quadrature
+    assert run_fresh("import sys, uwacap.cli; print('scipy.integrate' in sys.modules)") == "False\n"
+
+
+def test_sample_leaves_scipy_unloaded():
+    # the samplers need numpy only; scipy.special adds about 0.2 s to a cold import
+    code = (
+        "import os, sys\n"
+        "from uwacap.cli import main\n"
+        "assert main(['--out', os.devnull, 'sample', '--law', 'gg', '--beta', '0.8']) == 0\n"
+        "assert main(['--out', os.devnull, 'sample', '--law', 'alpha-mu', '--mu', '2']) == 0\n"
+        "print('numpy' in sys.modules, 'scipy' in sys.modules)"
+    )
+    assert run_fresh(code) == "True False\n"

@@ -73,6 +73,19 @@ class TestGGDensityGrid:
         assert gaussian - shaped == pytest.approx(capacity.gap(beta, "nats"), abs=1e-6)
 
 
+    def test_unlanded_grid_has_no_entropy(self):
+        # 40 points per side hold mass 1.00476: its entropy would read 1.35060
+        # nats against the exact 1.34657
+        law = gg.with_variance(1.0, 1.0)
+        grid = verify.gg_density_grid(law, points_per_side=40)
+        assert grid.mass == pytest.approx(1.00476, abs=1e-5)
+        with pytest.raises(QuadratureError) as info:
+            verify.grid_entropy(grid)
+        assert info.value.estimate == grid.mass
+        assert info.value.error_indicator == abs(grid.mass - 1.0)
+        assert gg.entropy(law) == pytest.approx(1.34657, abs=1e-5)
+
+
 class TestMcEntropy:
     @pytest.mark.parametrize("beta,scale", [(2.0, math.sqrt(2.0)), (1.0, 1.0), (0.5, 1.0)])
     def test_matches_closed_form(self, beta, scale):
