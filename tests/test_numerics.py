@@ -133,7 +133,7 @@ def test_cli_import_leaves_scipy_integrate_unloaded():
 
 
 def test_sample_leaves_scipy_unloaded():
-    # the samplers need numpy only; scipy.special adds about 0.2 s to a cold import
+    # the samplers need numpy only; scipy.special adds about 0.3 s to a cold call
     code = (
         "import os, sys\n"
         "from uwacap.cli import main\n"
