@@ -9,6 +9,7 @@ more peaked, heavier-tailed law.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 from .numerics import DomainError, log_gamma, real, to_units
@@ -56,9 +57,13 @@ def pdf(law, n):
 
 
 def variance(law):
-    """scale**2 * Gamma(3/beta) / Gamma(1/beta), via log-gamma."""
+    """scale**2 * Gamma(3/beta) / Gamma(1/beta), summed in logs.
+
+    For beta near 0.01 the gamma ratio alone overflows a float while the
+    variance does not.
+    """
     b = law.beta
-    return law.scale**2 * math.exp(log_gamma(3.0 / b) - log_gamma(1.0 / b))
+    return math.exp(2.0 * math.log(law.scale) + log_gamma(3.0 / b) - log_gamma(1.0 / b))
 
 
 def with_variance(beta, target_variance, mean=0.0):
@@ -66,9 +71,9 @@ def with_variance(beta, target_variance, mean=0.0):
     beta = real("beta", beta, 0.0)
     target_variance = real("target_variance", target_variance, 0.0)
     scale = math.sqrt(target_variance) * math.exp(0.5 * (log_gamma(1.0 / beta) - log_gamma(3.0 / beta)))
-    if scale == 0.0:
+    if scale < sys.float_info.min:  # a subnormal scale has lost digits: 0.99983 variance at beta 0.0075
         raise DomainError(
-            "beta=%r with target_variance=%r is out of range: the GG scale underflows to 0"
+            "beta=%r with target_variance=%r is out of range: the GG scale underflows the normal floats"
             % (beta, target_variance)
         )
     return GGNoise(beta=beta, scale=scale, mean=mean)

@@ -36,9 +36,5 @@ def chunked_draw(draw, seed, count, chunks=8, threads=1):
     def one(i):
         return draw(chunk_rng(seed, i), sizes[i])
 
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            parts = list(pool.map(one, range(len(sizes))))
-    else:
-        parts = [one(i) for i in range(len(sizes))]
-    return np.concatenate([p for p in parts if len(p)]) if sum(sizes) else np.empty(0)
+    with ThreadPoolExecutor(max_workers=threads) as pool:
+        return np.concatenate(list(pool.map(one, range(len(sizes)))))

@@ -82,7 +82,12 @@ def secrecy_threshold(beta_sd, beta_se, snr_se):
 
     Closed form (1 + snr_se) * exp(2*(gap(beta_se) - gap(beta_sd))) - 1,
     clamped at 0; the rate is zero at the threshold and positive above it.
+    A threshold beyond the float range is inf: the rate is then zero at
+    every finite snr_sd.
     """
     snr_se = real("snr_se", snr_se, 0.0, strict=False)
     shift = 2.0 * (gap(beta_se, "nats") - gap(beta_sd, "nats"))
-    return max(0.0, math.expm1(math.log1p(snr_se) + shift))
+    try:
+        return max(0.0, math.expm1(math.log1p(snr_se) + shift))
+    except OverflowError:
+        return math.inf

@@ -278,40 +278,37 @@ def run_checks(config, quick):
     """
     betas = (1.0, 2.0) if quick else (0.5, 0.8, 1.0, 1.5, 2.0, 3.0)
     snrs = (1.0,) if quick else (0.1, 1.0, 10.0, 100.0)
+    laws = {beta: _gg.with_variance(beta, 1.0) for beta in betas}
     rows = []
 
-    for beta in betas:
-        law = _gg.with_variance(beta, 1.0)
+    for beta, law in laws.items():
         mass = integrate(lambda n: _gg.pdf(law, n), -math.inf, math.inf, config.quad_rtol)
         rows.append(("pdf_mass beta=%g" % beta, abs(mass - 1.0), 1e-8, abs(mass - 1.0) <= 1e-8))
 
-    for beta in betas:
-        law = _gg.with_variance(beta, 1.0)
+    for beta, law in laws.items():
         estimate, stderr = mc_entropy(law, config)
         z = abs(estimate - _gg.entropy(law, "nats")) / stderr
         rows.append(("mc_entropy beta=%g (|z|)" % beta, z, 4.0, z <= 4.0))
 
+    # one grid at a time; both sweeps contain beta = 2, the Gaussian reference
     points = 20_000 if quick else 200_000
     grid_mass = 1e-7 if quick else 1e-8
-    gauss_grid = gg_density_grid(
-        _gg.with_variance(2.0, 1.0), truncation_mass=grid_mass, points_per_side=points
-    )
-    # a grid that misses its mass window has no entropy: nan fails the row
-    gauss_entropy = grid_entropy(gauss_grid) if gauss_grid.landed else math.nan
+    entropies, mass_rows = {}, {}
+    for beta, law in laws.items():
+        grid = gg_density_grid(law, truncation_mass=grid_mass, points_per_side=points)
+        # a grid that misses its mass window has no entropy: nan fails the row
+        entropies[beta] = grid_entropy(grid) if grid.landed else math.nan
+        mass_rows[beta] = _mass_row("grid_mass beta=%g" % beta, grid)
+    tol = 1e-5 if quick else 1e-6
     for beta in betas:
-        grid = gg_density_grid(
-            _gg.with_variance(beta, 1.0), truncation_mass=grid_mass, points_per_side=points
-        )
-        entropy = grid_entropy(grid) if grid.landed else math.nan
-        err = abs(gauss_entropy - entropy - gap(beta, "nats"))
-        tol = 1e-5 if quick else 1e-6
+        err = abs(entropies[2.0] - entropies[beta] - gap(beta, "nats"))
         rows.append(("entropy_gap_identity beta=%g" % beta, err, tol, err <= tol))
-        rows.append(_mass_row("grid_mass beta=%g" % beta, grid))
+        rows.append(mass_rows[beta])
 
     mi_points = 801 if quick else 2001
     for beta in betas:
         for snr in snrs:
-            cfg = ChannelConfig(snr, _gg.with_variance(beta, 1.0))
+            cfg = ChannelConfig(snr, laws[beta])
             grid = output_density(cfg, grid_points=mi_points)
             mi = _grid_mi(grid, cfg.noise, "bits")
             bounds = awggn_bounds(cfg, "bits")

@@ -164,7 +164,7 @@ class TestConditionalBounds:
 
 class TestErgodicCapacity:
     def test_zero_snr(self):
-        assert capacity.ergodic_awgn_capacity(0.0, fading.rayleigh()) == 0.0
+        assert capacity.ergodic_awgn_capacity(0.0, fading.AlphaMuFading(2.0, 1.0)) == 0.0
 
     @pytest.mark.parametrize("snr", RAYLEIGH_SNRS)
     def test_rayleigh_closed_form(self, snr):
@@ -202,7 +202,46 @@ class TestErgodicCapacity:
     def test_domain(self):
         for bad in (-1.0, "1", math.nan):
             with pytest.raises(DomainError):
-                capacity.ergodic_awgn_capacity(bad, fading.rayleigh())
+                capacity.ergodic_awgn_capacity(bad, fading.AlphaMuFading(2.0, 1.0))
+
+
+@mpmath.workdps(20)
+def exact_ergodic_bits(snr, law):
+    """E_h{0.5 * log2(1 + snr * h**2)} in 20-digit arithmetic, with the density built here.
+
+    The integral runs over u = ln h, so dh = h du. Knots sit where
+    mu * (h / h_root)**alpha crosses 1e-6 ... 256 and where snr * h**2 = 1;
+    below the lowest knot the integrand decays at least like e**(2u), so
+    cutting it 120 / (2 + alpha * mu) lower loses about e**-120 of it.
+    """
+    a, m, r, rho = (mpmath.mpf(v) for v in (law.alpha, law.mu, law.h_root, snr))
+    log_norm = mpmath.log(a) + m * mpmath.log(m) - a * m * mpmath.log(r) - mpmath.loggamma(m)
+
+    def integrand(u):
+        h = mpmath.exp(u)
+        return mpmath.log1p(rho * h * h) / 2 * mpmath.exp(log_norm + a * m * u - m * (h / r) ** a)
+
+    knots = [mpmath.log(r) + mpmath.log(t / m) / a for t in (1e-6, 1e-3, 0.1, 1, 4, 16, 64, 256)]
+    knots = sorted(knots + [-mpmath.log(rho) / 2])
+    return float(mpmath.quad(integrand, [knots[0] - 120 / (2 + a * m)] + knots) / mpmath.log(2))
+
+
+ORACLE_LAWS = [(0.5, 0.5, 1.0), (0.3, 0.2, 1.0), (1.0, 1.0, 1.0), (4.0, 4.0, 1.0), (2.5, 1.7, 1.3)]
+
+
+class TestErgodicOracle:
+    """ergodic_awgn_capacity against an mpmath oracle that shares none of its code."""
+
+    def test_oracle_matches_rayleigh_closed_form(self):
+        law = fading.unit_power(2.0, 1.0)
+        assert exact_ergodic_bits(3.0, law) == pytest.approx(rayleigh_ergodic_bits(3.0), rel=1e-13)
+
+    @pytest.mark.parametrize("alpha,mu,h_root", ORACLE_LAWS)
+    @pytest.mark.parametrize("snr", [1e-2, 1.0, 1e6])
+    def test_matches_mpmath(self, alpha, mu, h_root, snr):
+        law = fading.AlphaMuFading(alpha, mu, h_root)
+        expected = exact_ergodic_bits(snr, law)
+        assert abs(capacity.ergodic_awgn_capacity(snr, law) - expected) <= 1e-8 * expected
 
 
 class TestErgodicBounds:

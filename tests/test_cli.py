@@ -103,6 +103,14 @@ class TestCapacityCommand:
         code, _, _ = run_cli(capsys, "capacity", "--beta", "2", "--snr-db", "0:10")
         assert code == 1
 
+    def test_tiny_beta_prints_row(self, capsys):
+        # the noise variance is 1 even where its gamma ratio overflows a float
+        code, out, err = run_cli(capsys, "capacity", "--beta", "0.008", "--snr-db", "0")
+        assert (code, err) == (0, "")
+        _, rows = parse_csv(out)
+        assert rows[0][:2] == ["0", "0.5"]
+        assert float(rows[0][2]) == pytest.approx(0.5 + capacity.gap(0.008, "bits"), rel=1e-8)
+
 
 class TestErgodicCommand:
     def test_rayleigh_gaussian_noise(self, capsys):
@@ -166,6 +174,15 @@ class TestSecrecyCommand:
         _, rows = parse_csv(out)
         for row in rows:
             assert (row[2] == "1") == (float(row[0]) > threshold_db)
+
+    def test_threshold_beyond_float_range(self, capsys):
+        code, out, err = run_cli(
+            capsys, "secrecy", "--beta-sd", "2", "--beta-se", "0.001",
+            "--snr-se-db", "3", "--snr-sd-db", "0",
+        )
+        assert code == 0
+        assert err == "# secrecy threshold: snr_sd = inf (inf dB)\n"
+        assert out == "snr_sd_db,secrecy_rate,positive\n0,0,0\n"
 
     def test_as_printed_changes_positive_column(self, capsys):
         args = ["secrecy", "--beta-sd", "1.5", "--beta-se", "0.8",

@@ -69,6 +69,11 @@ class TestVariance:
         law = gg.with_variance(beta, target)
         assert gg.variance(law) == pytest.approx(target, rel=1e-12)
 
+    @pytest.mark.parametrize("beta", [0.0078, 0.008, 0.01, 0.0138])
+    def test_round_trip_where_gamma_ratio_overflows(self, beta):
+        # Gamma(3/beta) / Gamma(1/beta) alone is above the float range here
+        assert gg.variance(gg.with_variance(beta, 1.0)) == pytest.approx(1.0, rel=1e-12)
+
     def test_invalid_inputs(self):
         with pytest.raises(DomainError):
             gg.with_variance(-1.0, 1.0)
@@ -77,6 +82,9 @@ class TestVariance:
         # the scale underflows; the message names the caller's arguments
         with pytest.raises(DomainError, match="^beta=0.001 with target_variance=1.0"):
             gg.with_variance(1e-3, 1.0)
+        # a subnormal scale would carry a variance of 0.99983
+        with pytest.raises(DomainError, match="^beta=0.0075 with target_variance=1.0"):
+            gg.with_variance(0.0075, 1.0)
 
 
 class TestEntropy:

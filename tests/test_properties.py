@@ -1,0 +1,73 @@
+"""Property tests of the closed forms over their whole supported domain.
+
+Shapes range over beta in [1e-3, 20] and linear SNRs over [0, 1e12]. Laws
+built by ``with_variance`` start at beta = 0.0078: below that their scale
+underflows the normal floats and ``with_variance`` raises DomainError. Like
+tests/test_golden.py, this file needs neither numpy nor SciPy.
+"""
+
+import math
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from uwacap import capacity, gg_noise, secrecy
+from uwacap.numerics import DomainError
+
+BETA = st.floats(1e-3, 20.0)
+BETA_WITH_VARIANCE = st.floats(0.0078, 20.0)
+SNR = st.floats(0.0, 1e12)
+SCENARIO = st.builds(secrecy.SecrecyScenario, SNR, SNR, BETA, BETA)
+
+# the same 100 examples on every run, so the tier-1 suite stays deterministic
+closed_form = settings(max_examples=100, deadline=None, derandomize=True)
+
+
+@closed_form
+@given(BETA)
+def test_gap_is_positive_except_at_two(beta):
+    value = capacity.gap(beta, "nats")
+    assert value > 0.0 if beta != 2.0 else value == 0.0
+
+
+@closed_form
+@given(BETA_WITH_VARIANCE, SNR)
+def test_awggn_bounds_width_is_gap(beta, snr):
+    bounds = capacity.awggn_bounds(capacity.ChannelConfig(snr, gg_noise.with_variance(beta, 1.0)))
+    assert bounds.lower <= bounds.upper
+    assert abs(bounds.width - capacity.gap(beta)) <= 1e-12
+
+
+@closed_form
+@given(BETA)
+def test_with_variance_round_trips_or_raises(beta):
+    try:
+        law = gg_noise.with_variance(beta, 1.0)
+    except DomainError:
+        assert beta < 0.0078
+    else:
+        assert abs(gg_noise.variance(law) - 1.0) <= 1e-12
+
+
+@closed_form
+@given(SCENARIO)
+def test_positive_iff_rate_is_positive(scenario):
+    assert secrecy.secrecy_positive(scenario) == (secrecy.secrecy_rate_awggn(scenario) > 0.0)
+
+
+@closed_form
+@given(SCENARIO, SNR)
+def test_rate_never_decreases_in_snr_sd(scenario, other):
+    lo, hi = sorted((scenario.snr_sd, other))
+    rates = [
+        secrecy.secrecy_rate_awggn(secrecy.SecrecyScenario(s, scenario.snr_se, scenario.beta_sd, scenario.beta_se))
+        for s in (lo, hi)
+    ]
+    assert rates[0] <= rates[1]
+
+
+@closed_form
+@given(BETA, BETA, SNR)
+def test_threshold_never_raises(beta_sd, beta_se, snr_se):
+    threshold = secrecy.secrecy_threshold(beta_sd, beta_se, snr_se)
+    assert threshold >= 0.0 and not math.isnan(threshold)

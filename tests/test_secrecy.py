@@ -155,3 +155,9 @@ class TestThreshold:
             assert secrecy.secrecy_rate_awggn(above) > 0.0
             assert not secrecy.secrecy_positive(below)
             assert secrecy.secrecy_positive(above)
+
+    def test_threshold_beyond_float_range_is_inf(self):
+        # ln of the threshold is about 1289 nats, and the rate is 0 at every float snr_sd
+        assert secrecy.secrecy_threshold(2.0, 1e-3, 10.0 ** 0.3) == math.inf
+        for snr_sd in (1.0, 1e300, 1.7976931348623157e308):
+            assert secrecy.secrecy_rate_awggn(secrecy.SecrecyScenario(snr_sd, 10.0 ** 0.3, 2.0, 1e-3)) == 0.0

@@ -215,21 +215,30 @@ class TestConvolutionOracle:
         assert abs(got - float(want)) <= 1e-9 * float(want)
 
 
+def counted(monkeypatch, module, name, key):
+    """Replace ``module.name`` by a wrapper that appends ``key(*args)`` to the returned list."""
+    calls, original = [], getattr(module, name)
+
+    def counting(*args, **kwargs):
+        calls.append(key(*args))
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, counting)
+    return calls
+
+
 class TestRunChecks:
     def test_one_output_density_per_config(self, monkeypatch):
-        built = []
-        original = verify.output_density
-
-        def counting(config, *args, **kwargs):
-            built.append((config.noise.beta, config.signal_power))
-            return original(config, *args, **kwargs)
-
-        monkeypatch.setattr(verify, "output_density", counting)
+        densities = counted(monkeypatch, verify, "output_density", lambda c: (c.noise.beta, c.signal_power))
+        grids = counted(monkeypatch, verify, "gg_density_grid", lambda law: law.beta)
+        laws = counted(monkeypatch, gg, "with_variance", lambda beta, variance: beta)
         rows = verify.run_checks(SimConfig(seed=0), quick=False)
         assert len(rows) == 72
-        assert sorted(built) == sorted(
+        assert sorted(densities) == sorted(
             (beta, snr) for beta in BETA_GRID for snr in (0.1, 1.0, 10.0, 100.0)
         )
+        # the Gaussian reference entropy comes from the beta = 2 grid of the sweep
+        assert grids == laws == BETA_GRID
 
 
 class TestGaussianInputMI:
