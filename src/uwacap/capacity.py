@@ -130,7 +130,10 @@ def ergodic_awgn_capacity(snr_avg, fading, rtol=DEFAULT_RTOL, units="bits"):
     def integrand(h):
         if h <= 0.0:
             return 0.0
-        lp = c0 + am1 * math.log(h) - mu * (h / h_root) ** alpha
+        try:
+            lp = c0 + am1 * math.log(h) - mu * (h / h_root) ** alpha
+        except OverflowError:  # (h / h_root)**alpha past the float range: the density is 0
+            return 0.0
         return 0.5 * math.log1p(rho * h * h) * math.exp(lp)
 
     nats = integrate(integrand, 0.0, math.inf, rtol)

@@ -226,7 +226,7 @@ def build_parser():
     p.set_defaults(func=cmd_sample)
 
     p = sub.add_parser("verify", help="run the empirical invariant suite")
-    p.add_argument("--quick", action="store_true", help="reduced grids for smoke testing")
+    p.add_argument("--quick", action="store_true", help="only the rows at beta 1, 2 and SNR 1, for smoke testing")
     p.set_defaults(func=cmd_verify)
 
     return parser

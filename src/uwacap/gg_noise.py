@@ -60,10 +60,14 @@ def variance(law):
     """scale**2 * Gamma(3/beta) / Gamma(1/beta), summed in logs.
 
     For beta near 0.01 the gamma ratio alone overflows a float while the
-    variance does not.
+    variance does not. A variance beyond the float range is inf, so the
+    SNR of a law built directly with a smaller shape reads 0.
     """
     b = law.beta
-    return math.exp(2.0 * math.log(law.scale) + log_gamma(3.0 / b) - log_gamma(1.0 / b))
+    try:
+        return math.exp(2.0 * math.log(law.scale) + log_gamma(3.0 / b) - log_gamma(1.0 / b))
+    except OverflowError:
+        return math.inf
 
 
 def with_variance(beta, target_variance, mean=0.0):

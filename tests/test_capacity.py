@@ -204,6 +204,10 @@ class TestErgodicCapacity:
             with pytest.raises(DomainError):
                 capacity.ergodic_awgn_capacity(bad, fading.AlphaMuFading(2.0, 1.0))
 
+    def test_density_past_float_range_is_zero(self):
+        # (h / h_root)**alpha overflows for h above 1e-155; all the mass sits near 1e-310
+        assert capacity.ergodic_awgn_capacity(1.0, fading.AlphaMuFading(2.0, 1.0, 1e-310)) == 0.0
+
 
 @mpmath.workdps(20)
 def exact_ergodic_bits(snr, law):

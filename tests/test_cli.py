@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -244,13 +245,14 @@ class TestVerifyCommand:
         assert out1 != out2  # estimates move with the seed
 
     def test_missed_grid_mass_is_a_failed_row(self, capsys, monkeypatch):
-        # 40 points per side cannot hold a GG density's mass in its window
-        coarse = verify.gg_density_grid
+        # values 0.5% too high put a GG grid's mass at 1.005, outside its window
+        landed = verify.gg_density_grid
 
-        def too_coarse(law, truncation_mass=1e-8, points_per_side=200_000):
-            return coarse(law, truncation_mass, points_per_side=40)
+        def too_heavy(law):
+            grid = landed(law)
+            return dataclasses.replace(grid, values=1.005 * grid.values)
 
-        monkeypatch.setattr(verify, "gg_density_grid", too_coarse)
+        monkeypatch.setattr(verify, "gg_density_grid", too_heavy)
         code, out, err = run_cli(capsys, "--samples", "2000", "verify", "--quick")
         assert (code, err) == (3, "")
         grid_rows = [line for line in out.splitlines() if line.startswith("grid_mass")]

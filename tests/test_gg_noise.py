@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from scipy import special, stats
 
-from uwacap import gg_noise as gg
+from uwacap import capacity, gg_noise as gg
 from uwacap.numerics import DomainError, integrate
 
 BETA_GRID = [0.3, 0.5, 0.8, 1.0, 1.5, 2.0, 3.0, 5.0]
@@ -73,6 +73,12 @@ class TestVariance:
     def test_round_trip_where_gamma_ratio_overflows(self, beta):
         # Gamma(3/beta) / Gamma(1/beta) alone is above the float range here
         assert gg.variance(gg.with_variance(beta, 1.0)) == pytest.approx(1.0, rel=1e-12)
+
+    def test_variance_past_float_range_is_inf(self):
+        # a law built directly, bypassing with_variance's box: its SNR reads 0
+        law = gg.GGNoise(0.005, 1.0)
+        assert gg.variance(law) == math.inf
+        assert capacity.ChannelConfig(1.0, law).snr == 0.0
 
     def test_invalid_inputs(self):
         with pytest.raises(DomainError):

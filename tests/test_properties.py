@@ -2,7 +2,8 @@
 
 Shapes range over beta in [1e-3, 20] and linear SNRs over [0, 1e12]. Laws
 built by ``with_variance`` start at beta = 0.0078: below that their scale
-underflows the normal floats and ``with_variance`` raises DomainError. Like
+underflows the normal floats and ``with_variance`` raises DomainError; laws
+built directly take scales in [1e-3, 1e3]. Like
 tests/test_golden.py, this file needs neither numpy nor SciPy.
 """
 
@@ -36,6 +37,17 @@ def test_awggn_bounds_width_is_gap(beta, snr):
     bounds = capacity.awggn_bounds(capacity.ChannelConfig(snr, gg_noise.with_variance(beta, 1.0)))
     assert bounds.lower <= bounds.upper
     assert abs(bounds.width - capacity.gap(beta)) <= 1e-12
+
+
+@closed_form
+@given(BETA, st.floats(1e-3, 1e3), SNR)
+def test_user_built_law_never_raises(beta, scale, power):
+    # a law built directly is not held to with_variance's box: a variance past
+    # the float range is inf and the SNR reads 0
+    law = gg_noise.GGNoise(beta, scale)
+    assert gg_noise.variance(law) > 0.0
+    bounds = capacity.awggn_bounds(capacity.ChannelConfig(power, law))
+    assert bounds.lower <= bounds.upper
 
 
 @closed_form

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import mpmath
@@ -14,15 +15,27 @@ BETA_GRID = [0.5, 0.8, 1.0, 1.5, 2.0, 3.0]
 class TestDensityGrid:
     def test_rejects_unsorted_points(self):
         with pytest.raises(DomainError):
-            verify.DensityGrid([0.0, 0.0, 1.0], [1.0, 1.0, 1.0], 1e-8)
+            verify.DensityGrid([0.0, 0.0, 1.0], [1.0, 1.0, 1.0], 1e-8, [0.5, 0.5, 0.5])
 
     def test_rejects_negative_values(self):
         with pytest.raises(DomainError):
-            verify.DensityGrid([0.0, 1.0], [1.0, -0.1], 1e-8)
+            verify.DensityGrid([0.0, 1.0], [1.0, -0.1], 1e-8, [0.5, 0.5])
+
+    @pytest.mark.parametrize("weights", [[0.5, 0.0], [0.5, math.inf], [0.5, 0.5, 0.5]])
+    def test_rejects_bad_weights(self, weights):
+        with pytest.raises(DomainError):
+            verify.DensityGrid([0.0, 1.0], [1.0, 1.0], 1e-8, weights)
 
     def test_rejects_lost_mass(self):
         points = np.linspace(-1.0, 1.0, 100)
-        assert not verify.DensityGrid(points, np.full_like(points, 0.2), 1e-8).landed
+        weights = verify._trapezoid_weights(points)
+        assert not verify.DensityGrid(points, np.full_like(points, 0.2), 1e-8, weights).landed
+
+    def test_trapezoid_weights_match_numpy(self):
+        points = np.cumsum(np.linspace(0.01, 1.0, 500))
+        values = np.exp(-0.01 * points)
+        got = values @ verify._trapezoid_weights(points)
+        assert got == pytest.approx(np.trapezoid(values, points), rel=1e-14)
 
     @pytest.mark.parametrize(
         "mass,landed",
@@ -30,12 +43,12 @@ class TestDensityGrid:
     )
     def test_landed_window(self, mass, landed):
         # the window is [1 - 2*truncation_mass, 1], with 1e-12 of rounding above 1
-        points = np.linspace(0.0, 1.0, 3)
-        assert verify.DensityGrid(points, np.full(3, mass), 1e-8).landed is landed
+        grid = verify.DensityGrid([0.0, 0.5, 1.0], np.full(3, mass), 1e-8, [0.25, 0.5, 0.25])
+        assert grid.landed is landed
 
     def test_uniform_density(self):
         points = np.linspace(0.0, 1.0, 1000)
-        grid = verify.DensityGrid(points, np.ones_like(points), 1e-8)
+        grid = verify.DensityGrid(points, np.ones_like(points), 1e-8, verify._trapezoid_weights(points))
         assert grid.mass == pytest.approx(1.0, abs=1e-12)
         assert verify.grid_entropy(grid) == pytest.approx(0.0, abs=1e-6)
 
@@ -44,7 +57,7 @@ class TestDensityGrid:
         # with zeros is piecewise linear, so the trapezoid mass is exact
         points = np.linspace(-2.0, 2.0, 4001)
         values = np.maximum(0.0, 1.0 - np.abs(points))
-        grid = verify.DensityGrid(points, values, 1e-6)
+        grid = verify.DensityGrid(points, values, 1e-6, verify._trapezoid_weights(points))
         assert np.any(grid.values == 0.0)
         assert math.isfinite(verify.grid_entropy(grid))
 
@@ -54,6 +67,18 @@ class TestGGDensityGrid:
     def test_mass_window(self, beta):
         grid = verify.gg_density_grid(gg.with_variance(beta, 1.0))
         assert abs(grid.mass - 1.0) <= 2.0 * grid.truncation_mass
+
+    @pytest.mark.parametrize("beta", [0.3, 0.5, 1.0, 2.0, 3.0, 20.0])
+    def test_mass_is_all_but_the_truncation(self, beta):
+        # the panel rule resolves the cusp: only the 1e-8 cut off beyond the tail radius is missing
+        grid = verify.gg_density_grid(gg.with_variance(beta, 1.0))
+        assert grid.truncation_mass == 1e-8
+        assert abs(grid.mass - (1.0 - 1e-8)) <= 1e-10
+
+    @pytest.mark.parametrize("beta", [0.2, 50.0])
+    def test_shapes_outside_validated_range(self, beta):
+        with pytest.raises(DomainError, match=r"outside \[0.3, 20\]"):
+            verify.gg_density_grid(gg.with_variance(beta, 1.0))
 
     def test_gaussian_entropy(self):
         for var in (0.25, 1.0, 9.0):
@@ -72,13 +97,13 @@ class TestGGDensityGrid:
         shaped = verify.grid_entropy(verify.gg_density_grid(gg.with_variance(beta, 1.0)))
         assert gaussian - shaped == pytest.approx(capacity.gap(beta, "nats"), abs=1e-6)
 
-
     def test_unlanded_grid_has_no_entropy(self):
-        # 40 points per side hold mass 1.00476: its entropy would read 1.35060
+        # values 0.5% too high hold mass 1.005: the entropy would read 1.34829
         # nats against the exact 1.34657
         law = gg.with_variance(1.0, 1.0)
-        grid = verify.gg_density_grid(law, points_per_side=40)
-        assert grid.mass == pytest.approx(1.00476, abs=1e-5)
+        landed = verify.gg_density_grid(law)
+        grid = dataclasses.replace(landed, values=1.005 * landed.values)
+        assert grid.mass == pytest.approx(1.005, abs=1e-7)
         with pytest.raises(QuadratureError) as info:
             verify.grid_entropy(grid)
         assert info.value.estimate == grid.mass
@@ -141,10 +166,9 @@ class TestOutputDensity:
         monkeypatch.setattr(verify, "_convolved_values", overshooting)
         config = capacity.ChannelConfig(1.0, gg.with_variance(1.0, 1.0))
         with pytest.raises(QuadratureError):
-            verify.output_density(config, grid_points=3)
+            verify.output_density(config)
 
-    @pytest.mark.parametrize("beta", [0.2, 0.25])
-    def test_runaway_coarsening_raises(self, beta, monkeypatch):
+    def test_runaway_coarsening_raises(self, monkeypatch):
         # the grid cannot resolve this peaked noise under so narrow an input,
         # so its mass misses the window at every size from 2001 to 32001 points
         sizes = []
@@ -155,17 +179,19 @@ class TestOutputDensity:
             return convolve(law, power, points, noise_radius, input_radius)
 
         monkeypatch.setattr(verify, "_convolved_values", counting)
-        config = capacity.ChannelConfig(1e-6, gg.with_variance(beta, 1.0))
+        config = capacity.ChannelConfig(1e-4, gg.with_variance(0.3, 1.0))
         with pytest.raises(QuadratureError) as info:
             verify.output_density(config)
         assert info.value.estimate > 1.0 + 1e-12
         assert sizes == [2001, 4001, 8001, 16001, 32001]
 
-    def test_grid_points_must_be_an_integer(self):
-        config = capacity.ChannelConfig(1.0, gg.with_variance(1.0, 1.0))
-        for bad in (1, 0, 2.5, "2001"):
-            with pytest.raises(DomainError, match="^grid_points"):
-                verify.output_density(config, grid_points=bad)
+    @pytest.mark.parametrize("beta", [0.2, 50.0])
+    def test_shapes_outside_validated_range(self, beta):
+        # the panel quadrature misses its 1e-9 error model here (8.3e-9 at
+        # beta 0.2, 4.2e-8 at beta 50), so the grid is refused
+        config = capacity.ChannelConfig(1.0, gg.with_variance(beta, 1.0))
+        with pytest.raises(DomainError, match=r"outside \[0.3, 20\]"):
+            verify.output_density(config)
 
 
 @mpmath.workdps(30)
@@ -227,18 +253,33 @@ def counted(monkeypatch, module, name, key):
     return calls
 
 
-class TestRunChecks:
-    def test_one_output_density_per_config(self, monkeypatch):
-        densities = counted(monkeypatch, verify, "output_density", lambda c: (c.noise.beta, c.signal_power))
-        grids = counted(monkeypatch, verify, "gg_density_grid", lambda law: law.beta)
-        laws = counted(monkeypatch, gg, "with_variance", lambda beta, variance: beta)
+@pytest.fixture(scope="module")
+def full_run():
+    """The full suite's rows, with the grids and laws it built, from one run."""
+    with pytest.MonkeyPatch.context() as patch:
+        densities = counted(patch, verify, "output_density", lambda c: (c.noise.beta, c.signal_power))
+        grids = counted(patch, verify, "gg_density_grid", lambda law: law.beta)
+        laws = counted(patch, gg, "with_variance", lambda beta, variance: beta)
         rows = verify.run_checks(SimConfig(seed=0), quick=False)
+    return rows, densities, grids, laws
+
+
+class TestRunChecks:
+    def test_one_output_density_per_config(self, full_run):
+        rows, densities, grids, laws = full_run
         assert len(rows) == 72
         assert sorted(densities) == sorted(
             (beta, snr) for beta in BETA_GRID for snr in (0.1, 1.0, 10.0, 100.0)
         )
         # the Gaussian reference entropy comes from the beta = 2 grid of the sweep
         assert grids == laws == BETA_GRID
+
+    def test_quick_rows_are_full_rows(self, full_run):
+        # quick only shrinks the sweep: name, measured, tolerance and verdict all match
+        full = {row[0]: row for row in full_run[0]}
+        quick = verify.run_checks(SimConfig(seed=0), quick=True)
+        assert len(quick) == 12
+        assert quick == [full[row[0]] for row in quick]
 
 
 class TestGaussianInputMI:
