@@ -1,12 +1,14 @@
-"""Alpha-mu fading law: its parameters, normalizing constant and exact sampling.
+"""Alpha-mu fading law: its parameters, unit-power normalization and exact sampling.
 
 pdf(h) = alpha * mu**mu * h**(alpha*mu - 1) / (h_root**(alpha*mu) * Gamma(mu))
          * exp(-mu * (h / h_root)**alpha),      h >= 0
 
-The density is evaluated in ``capacity.ergodic_awgn_capacity``, the one
-place that integrates it. Rayleigh is (alpha=2, mu=1), Nakagami-m is
-(alpha=2, mu=m), Weibull-k is (alpha=k, mu=1). ``h_root`` is the alpha-root
-mean value (E{h**alpha})**(1/alpha).
+so G = mu * (h / h_root)**alpha is Gamma(mu, 1): the law is a generalized
+gamma law (Yacoub 2007). The sampler draws G, and
+``capacity.ergodic_awgn_capacity`` integrates over ln G, where the Gamma
+weight is analytic and log-concave. Rayleigh is (alpha=2, mu=1), Nakagami-m
+is (alpha=2, mu=m), Weibull-k is (alpha=k, mu=1). ``h_root`` is the
+alpha-root mean value (E{h**alpha})**(1/alpha).
 """
 
 from __future__ import annotations
@@ -27,16 +29,6 @@ class AlphaMuFading:
     def __post_init__(self):
         for name in ("alpha", "mu", "h_root"):
             real("AlphaMuFading." + name, getattr(self, name), 0.0)
-
-    @property
-    def log_norm(self):
-        """ln of alpha * mu**mu / (h_root**(alpha*mu) * Gamma(mu))."""
-        return (
-            math.log(self.alpha)
-            + self.mu * math.log(self.mu)
-            - self.alpha * self.mu * math.log(self.h_root)
-            - log_gamma(self.mu)
-        )
 
 
 def sample(law, seed, count, chunks=8, threads=1):

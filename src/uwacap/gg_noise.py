@@ -61,13 +61,21 @@ def variance(law):
 
     For beta near 0.01 the gamma ratio alone overflows a float while the
     variance does not. A variance beyond the float range is inf, so the
-    SNR of a law built directly with a smaller shape reads 0.
+    SNR of a law built directly with a smaller shape reads 0. A variance
+    under the normal floats (a tiny scale) raises DomainError: an SNR
+    divided by it would be a division by zero or lose digits.
     """
     b = law.beta
     try:
-        return math.exp(2.0 * math.log(law.scale) + log_gamma(3.0 / b) - log_gamma(1.0 / b))
+        var = math.exp(2.0 * math.log(law.scale) + log_gamma(3.0 / b) - log_gamma(1.0 / b))
     except OverflowError:
         return math.inf
+    if var < sys.float_info.min:
+        raise DomainError(
+            "GG law with beta=%r and scale=%r is out of range: its variance underflows the normal floats"
+            % (law.beta, law.scale)
+        )
+    return var
 
 
 def with_variance(beta, target_variance, mean=0.0):

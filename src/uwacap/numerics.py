@@ -1,8 +1,10 @@
-"""Domain validation, log-gamma and adaptive quadrature shared by every other module.
+"""Domain validation, log-gamma and quadrature tolerances shared by every other module.
 
 All gamma-function ratios used elsewhere go through ``log_gamma`` so that
 small shape parameters cannot overflow Gamma(1/beta). ``log_gamma`` is
-``math.lgamma``, so the closed forms need neither numpy nor SciPy.
+``math.lgamma``, so the closed forms and the ergodic trapezoid rule need
+neither numpy nor SciPy. ``integrate`` wraps QUADPACK for the verify suite's
+density-mass rows, and only it loads SciPy.
 """
 
 from __future__ import annotations
@@ -12,8 +14,8 @@ import numbers
 
 LN2 = math.log(2.0)
 
-DEFAULT_RTOL = 1e-8  # default relative tolerance of adaptive quadrature
-ABSOLUTE_TOLERANCE = 1e-12
+DEFAULT_RTOL = 1e-8  # default relative tolerance of the ergodic and verify quadratures
+ABSOLUTE_TOLERANCE = 1e-12  # their absolute tolerance, in nats for the ergodic rule
 MAX_SUBDIVISIONS = 200
 
 

@@ -6,7 +6,8 @@ import pytest
 from scipy.special import exp1
 
 from uwacap import capacity, fading, gg_noise as gg
-from uwacap.numerics import DomainError
+from uwacap.cli import main
+from uwacap.numerics import DomainError, QuadratureError
 
 # every 0.1 dB from -10 to 60 dB; -10, 0 and 10 dB land exactly on 0.1, 1 and 10
 RAYLEIGH_SNRS = [10.0 ** (k / 100.0) for k in range(-100, 601)]
@@ -117,6 +118,13 @@ class TestBoundsTypes:
         with pytest.raises(DomainError):
             capacity.ChannelConfig(-1.0, gg.GGNoise(2.0, 1.0))
 
+    def test_underflowing_variance_names_the_law(self):
+        # scale**2 underflows, so the variance would be 0.0 and the SNR divide by it
+        with pytest.raises(DomainError, match=r"beta=20 and scale=1e-200"):
+            capacity.ChannelConfig(1.0, gg.GGNoise(20, 1e-200)).snr
+        with pytest.raises(DomainError, match=r"beta=20 and scale=1e-170"):
+            capacity.awggn_bounds(capacity.ChannelConfig(1.0, gg.GGNoise(20, 1e-170)))
+
 
 class TestAwggnBounds:
     def test_gaussian_collapse(self):
@@ -204,6 +212,23 @@ class TestErgodicCapacity:
             with pytest.raises(DomainError):
                 capacity.ergodic_awgn_capacity(bad, fading.AlphaMuFading(2.0, 1.0))
 
+    def test_evaluation_cap_raises_with_estimate(self, monkeypatch):
+        # 60 evaluations finish two lattices of Rayleigh at SNR 1 but not the third
+        monkeypatch.setattr(capacity, "MAX_EVALUATIONS", 60)
+        with pytest.raises(QuadratureError) as info:
+            capacity.ergodic_awgn_capacity(1.0, fading.unit_power(2.0, 1.0))
+        exact_nats = rayleigh_ergodic_bits(1.0) * math.log(2.0)
+        error = info.value
+        assert 1e-8 * exact_nats < error.error_indicator < 1e-3
+        assert abs(error.estimate - exact_nats) <= error.error_indicator
+
+    def test_cli_exits_2_at_the_evaluation_cap(self, monkeypatch, capsys):
+        monkeypatch.setattr(capacity, "MAX_EVALUATIONS", 10)
+        assert main(["ergodic", "--alpha", "2", "--snr-db", "0"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("quadrature failure: the trapezoid rule did not converge within 10 ")
+
     def test_density_past_float_range_is_zero(self):
         # (h / h_root)**alpha overflows for h above 1e-155; all the mass sits near 1e-310
         assert capacity.ergodic_awgn_capacity(1.0, fading.AlphaMuFading(2.0, 1.0, 1e-310)) == 0.0
@@ -214,9 +239,11 @@ def exact_ergodic_bits(snr, law):
     """E_h{0.5 * log2(1 + snr * h**2)} in 20-digit arithmetic, with the density built here.
 
     The integral runs over u = ln h, so dh = h du. Knots sit where
-    mu * (h / h_root)**alpha crosses 1e-6 ... 256 and where snr * h**2 = 1;
-    below the lowest knot the integrand decays at least like e**(2u), so
-    cutting it 120 / (2 + alpha * mu) lower loses about e**-120 of it.
+    t = mu * (h / h_root)**alpha crosses 1e-6 ... 256, where snr * h**2 = 1,
+    and at t = mu + k * sqrt(mu) for |k| = 0, 1, 2, 4, 8, 16 (t > 0), which
+    pins the spike of a concentrated law (large mu) that spans about
+    sqrt(mu) in t; below the lowest knot the integrand decays at least like
+    e**(2u), so cutting it 120 / (2 + alpha * mu) lower loses about e**-120 of it.
     """
     a, m, r, rho = (mpmath.mpf(v) for v in (law.alpha, law.mu, law.h_root, snr))
     log_norm = mpmath.log(a) + m * mpmath.log(m) - a * m * mpmath.log(r) - mpmath.loggamma(m)
@@ -225,12 +252,19 @@ def exact_ergodic_bits(snr, law):
         h = mpmath.exp(u)
         return mpmath.log1p(rho * h * h) / 2 * mpmath.exp(log_norm + a * m * u - m * (h / r) ** a)
 
-    knots = [mpmath.log(r) + mpmath.log(t / m) / a for t in (1e-6, 1e-3, 0.1, 1, 4, 16, 64, 256)]
+    spike = [m + k * mpmath.sqrt(m) for k in (0, 1, 2, 4, 8, 16, -1, -2, -4, -8, -16)]
+    ts = [t for t in [1e-6, 1e-3, 0.1, 1, 4, 16, 64, 256] + spike if t > 0]
+    knots = [mpmath.log(r) + mpmath.log(t / m) / a for t in ts]
     knots = sorted(knots + [-mpmath.log(rho) / 2])
     return float(mpmath.quad(integrand, [knots[0] - 120 / (2 + a * m)] + knots) / mpmath.log(2))
 
 
-ORACLE_LAWS = [(0.5, 0.5, 1.0), (0.3, 0.2, 1.0), (1.0, 1.0, 1.0), (4.0, 4.0, 1.0), (2.5, 1.7, 1.3)]
+# (300, 5) and (10, 1e4) are concentrated: their mass sits in a spike near
+# h = h_root that is about 1 / (alpha * sqrt(mu)) wide
+ORACLE_LAWS = [
+    (0.5, 0.5, 1.0), (0.3, 0.2, 1.0), (1.0, 1.0, 1.0), (4.0, 4.0, 1.0), (2.5, 1.7, 1.3),
+    (300.0, 5.0, 1.0), (10.0, 1e4, 1.0),
+]
 
 
 class TestErgodicOracle:

@@ -1,10 +1,9 @@
 """CLI output pinned byte for byte to the CSV files in tests/data.
 
 Each case's stdout is ``data/<stem>.csv``; its stderr is
-``data/<stem>.stderr``, or empty when that file does not exist. ``ergodic``
-and ``sample`` are left out: their last digits depend on the SciPy and numpy
-versions. Rewrite the files (``python tests/test_golden.py``) only for an
-intended change of output.
+``data/<stem>.stderr``, or empty when that file does not exist. ``sample``
+is left out: its last digits depend on the numpy version. Rewrite the files
+(``python tests/test_golden.py``) only for an intended change of output.
 
 These commands need neither numpy nor SciPy: this file runs without them
 installed, and one test runs every case with both blocked.
@@ -26,10 +25,18 @@ DATA = pathlib.Path(__file__).resolve().parent / "data"
 GAP_BETAS = ["0.1", "0.2", "0.3", "0.5", "0.8", "1", "1.5", "2", "2.5", "3", "4", "6", "8"]
 CAPACITY_BETAS = ["0.3", "0.5", "1", "2", "3.7"]
 SECRECY_PAIRS = [("2", "2"), ("1", "2"), ("2", "1"), ("0.5", "1.5"), ("0.8", "3")]
+# (alpha, mu, beta): Rayleigh, Nakagami-3, Weibull-3, the alpha = mu = 0.5
+# corner and a concentrated law
+ERGODIC_LAWS = [
+    ("2", "1", "1"), ("2", "3", "0.5"), ("3", "1", "1.5"), ("0.5", "0.5", "0.8"), ("300", "5", "2"),
+]
 
 CASES = {"gap": ["gap", *GAP_BETAS]}
 for beta in CAPACITY_BETAS:
     CASES["capacity_beta%s" % beta] = ["capacity", "--beta", beta, "--snr-db=-20:60:0.5"]
+for alpha, mu, beta in ERGODIC_LAWS:
+    argv = ["ergodic", "--alpha", alpha, "--mu", mu, "--beta", beta, "--snr-db=-10:60:1"]
+    CASES["ergodic_a%s_m%s" % (alpha, mu)] = argv
 for sd, se in SECRECY_PAIRS:
     argv = ["secrecy", "--beta-sd", sd, "--beta-se", se, "--snr-se-db", "3", "--snr-sd-db=-20:40:0.25"]
     CASES["secrecy_sd%s_se%s" % (sd, se)] = argv

@@ -1,9 +1,10 @@
-"""Property tests of the closed forms over their whole supported domain.
+"""Property tests of the closed forms and the ergodic rule over their supported domain.
 
 Shapes range over beta in [1e-3, 20] and linear SNRs over [0, 1e12]. Laws
 built by ``with_variance`` start at beta = 0.0078: below that their scale
 underflows the normal floats and ``with_variance`` raises DomainError; laws
-built directly take scales in [1e-3, 1e3]. Like
+built directly take scales in [1e-3, 1e3]. Unit-power fading laws take
+alpha in [0.3, 50] and mu in [0.2, 100], at SNRs in [1e-6, 1e12]. Like
 tests/test_golden.py, this file needs neither numpy nor SciPy.
 """
 
@@ -12,13 +13,15 @@ import math
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from uwacap import capacity, gg_noise, secrecy
-from uwacap.numerics import DomainError
+from uwacap import capacity, fading, gg_noise, secrecy
+from uwacap.numerics import ABSOLUTE_TOLERANCE, DEFAULT_RTOL, LN2, DomainError
 
 BETA = st.floats(1e-3, 20.0)
 BETA_WITH_VARIANCE = st.floats(0.0078, 20.0)
 SNR = st.floats(0.0, 1e12)
 SCENARIO = st.builds(secrecy.SecrecyScenario, SNR, SNR, BETA, BETA)
+FADING = st.builds(fading.unit_power, st.floats(0.3, 50.0), st.floats(0.2, 100.0))
+ERGODIC_SNR = st.floats(1e-6, 1e12)
 
 # the same 100 examples on every run, so the tier-1 suite stays deterministic
 closed_form = settings(max_examples=100, deadline=None, derandomize=True)
@@ -83,3 +86,22 @@ def test_rate_never_decreases_in_snr_sd(scenario, other):
 def test_threshold_never_raises(beta_sd, beta_se, snr_se):
     threshold = secrecy.secrecy_threshold(beta_sd, beta_se, snr_se)
     assert threshold >= 0.0 and not math.isnan(threshold)
+
+
+def ergodic_slack(bits):
+    """What the ergodic rule may be off by: its relative and absolute (nats) tolerances."""
+    return DEFAULT_RTOL * bits + ABSOLUTE_TOLERANCE / LN2
+
+
+@closed_form
+@given(FADING, ERGODIC_SNR, ERGODIC_SNR, BETA)
+def test_ergodic_is_bounded_monotone_and_keeps_the_gap(law, snr, other, beta):
+    lo, hi = sorted((snr, other))
+    low, high = (capacity.ergodic_awgn_capacity(s, law) for s in (lo, hi))
+    for value, s in ((low, lo), (high, hi)):
+        jensen = capacity.awgn_capacity(s)  # E{h**2} = 1 and log is concave
+        assert 0.0 <= value <= jensen + ergodic_slack(jensen)
+    assert high >= low - ergodic_slack(low)
+    bounds = capacity.ergodic_bounds(lo, law, beta)
+    assert bounds.lower == low
+    assert abs(bounds.width - capacity.gap(beta)) <= 1e-12
