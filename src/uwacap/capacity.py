@@ -21,14 +21,13 @@ from . import gg_noise as _gg
 from .numerics import (
     ABSOLUTE_TOLERANCE,
     DEFAULT_RTOL,
+    MAX_EVALUATIONS,
     DomainError,
     QuadratureError,
     log_gamma,
     real,
     to_units,
 )
-
-MAX_EVALUATIONS = 100_000  # integrand values per ergodic point before QuadratureError
 
 
 # c_2 ... c_24 of the Taylor series gap(beta) = sum_k c_k * h**k nats in
@@ -184,6 +183,8 @@ def ergodic_awgn_capacity(snr_avg, fading, rtol=DEFAULT_RTOL, units="bits"):
             log_softplus = math.log(z + math.log1p(math.exp(-z)))
         else:
             log_softplus = z if z < -37.0 else math.log(math.log1p(math.exp(z)))
+        if abs(v) < 1e-4:  # v - expm1(v) cancels, and a huge mu puts the lattice at v ~ 1/sqrt(mu)
+            return log_softplus - mu * v * v * (0.5 + v * (1.0 / 6.0 + v / 24.0))
         try:
             return log_softplus + mu * (v - math.expm1(v))
         except OverflowError:  # e**v past the float range: the weight is 0

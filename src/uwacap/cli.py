@@ -160,7 +160,7 @@ def cmd_sample(args, config):
 
 
 def cmd_verify(args, config):
-    from . import verify as _verify  # numpy and SciPy load only for the commands that use them
+    from . import verify as _verify  # numpy loads only for the commands that use it
 
     rows = _verify.run_checks(config, args.quick)
     width = max(len(r[0]) for r in rows)

@@ -8,11 +8,17 @@ more peaked, heavier-tailed law.
 
 from __future__ import annotations
 
+import itertools
 import math
 import sys
 from dataclasses import dataclass
 
 from .numerics import DomainError, log_gamma, real, to_units
+
+_EPS = sys.float_info.epsilon
+_TINY = 1e-300  # Lentz's stand-in for a zero denominator
+_LOG_X_MAX = math.log(sys.float_info.max)  # tail_radius never lets e**x overflow
+_MAX_STEPS = 200  # Newton and bisection steps of tail_radius
 
 
 @dataclass(frozen=True)
@@ -39,14 +45,19 @@ class GGNoise:
 
 
 def log_pdf(law, n):
-    """ln pdf evaluated directly; never round-trips through pdf()."""
+    """ln pdf evaluated directly; never round-trips through pdf().
+
+    Where z**beta overflows (z = |n - mean| / scale past 2.6e15 at beta = 20),
+    ln pdf is -inf and pdf is 0, without a RuntimeWarning.
+    """
     import numpy as np  # loaded on first use, so the closed forms never import it
 
     arr = np.asarray(n, dtype=float)
     if not np.all(np.isfinite(arr)):
         raise DomainError("noise amplitude must be finite")
     z = np.abs(arr - law.mean) / law.scale
-    out = law.log_norm - z**law.beta
+    with np.errstate(over="ignore"):
+        out = law.log_norm - z**law.beta
     return float(out) if out.ndim == 0 else out
 
 
@@ -101,14 +112,86 @@ def entropy(law, units="nats"):
     return to_units(nats, units)
 
 
+def _log_q(a, y, log_gamma_a):
+    """ln Q(a, x) at x = e**y, with ln(x**a * e**-x / Gamma(a)) for its slope.
+
+    Q = 1 - P with P by its power series below x = a + 1 (DLMF 8.7.1);
+    above it, Q by Lentz's evaluation of its continued fraction (DLMF 8.9.2).
+    """
+    x = math.exp(y)
+    log_front = a * y - x - log_gamma_a
+    if x < a + 1.0:
+        term = total = 1.0 / a
+        n = a
+        while term > _EPS * total:
+            n += 1.0
+            term *= x / n
+            total += term
+        p = math.exp(log_front + math.log(total))
+        return (math.log1p(-p) if p < 1.0 else -math.inf), log_front
+    b = x + 1.0 - a
+    c, d = 1.0 / _TINY, 1.0 / b
+    fraction = d
+    for i in itertools.count(1):
+        an = -i * (i - a)
+        b += 2.0
+        d = an * d + b
+        d = 1.0 / (d if abs(d) > _TINY else _TINY)
+        c = b + an / c
+        c = c if abs(c) > _TINY else _TINY
+        delta = c * d
+        fraction *= delta
+        if abs(delta - 1.0) <= _EPS:
+            return log_front + math.log(fraction), log_front
+
+
 def tail_radius(law, mass):
-    """Radius t with P(|N - mean| > t) = mass, via the inverse incomplete gamma."""
+    """Radius t with P(|N - mean| > t) = mass: t = scale * x**(1/beta) where Q(1/beta, x) = mass.
+
+    Q is the regularized upper incomplete gamma function (``_log_q``). ln Q is
+    concave and decreasing in y = ln x, so Newton steps on ln Q - ln mass
+    from the right of the root never pass it. From the first guess
+    x = 1/beta - ln mass, y climbs in steps that double until it is right of
+    the root; then Newton steps inside the bisection bracket so found
+    converge to it. A y past 709, where e**x would overflow, or a radius
+    that leaves the positive floats, raises DomainError.
+    """
     if not 0.0 < real("tail mass", mass) < 1.0:
         raise DomainError("tail mass must lie in (0, 1), got %r" % (mass,))
-    from scipy import special as _special
+    a = 1.0 / law.beta
+    log_gamma_a = log_gamma(a)
+    target = math.log(mass)
 
-    inv = 1.0 / law.beta
-    return law.scale * float(_special.gammainccinv(inv, mass)) ** inv
+    def excess(y):  # ln Q - ln mass at x = e**y, and its slope in y
+        log_q, log_front = _log_q(a, y, log_gamma_a)
+        return log_q - target, -math.exp(log_front - log_q)
+
+    lo, hi = -math.inf, math.inf  # the excess is > 0 at lo and < 0 at hi
+    y, reach = math.log(a - target), 1.0
+    for _ in range(_MAX_STEPS):
+        if y > _LOG_X_MAX:
+            raise DomainError("beta=%r with tail mass %r is out of range: the radius overflows" % (law.beta, mass))
+        g, slope = excess(y)
+        if g == 0.0:
+            break
+        lo, hi = (y, hi) if g > 0.0 else (lo, y)
+        newton = y - g / slope
+        if hi == math.inf:  # left of the root a Newton step can overshoot without bound
+            step, reach = reach, 2.0 * reach
+        elif lo < newton < hi or abs(newton - y) <= _EPS * max(1.0, abs(y)):
+            step = newton - y
+        else:
+            step = 0.5 * (lo + hi) - y
+        y += step
+        if abs(step) <= _EPS * max(1.0, abs(y)):
+            break
+    try:
+        radius = law.scale * math.exp(a * y)
+    except OverflowError:
+        radius = math.inf
+    if not 0.0 < radius < math.inf:
+        raise DomainError("beta=%r with tail mass %r is out of range: the radius leaves the floats" % (law.beta, mass))
+    return radius
 
 
 def sample(law, seed, count, chunks=8, threads=1):

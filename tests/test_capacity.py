@@ -207,6 +207,15 @@ class TestErgodicCapacity:
         ]
         assert all(a <= b for a, b in zip(values, values[1:]))
 
+    @pytest.mark.parametrize("mu", [1e30, 1e300])
+    @pytest.mark.parametrize("snr", [1e-3, 1.0, 1e6])
+    def test_huge_mu_is_the_unfaded_rate(self, mu, snr):
+        # G ~ Gamma(mu, 1) concentrates at mu, so h -> h_root; the lattice
+        # sits at v ~ 1/sqrt(mu), where v - expm1(v) cancels
+        law = fading.AlphaMuFading(2.0, mu, 0.5)
+        expected = 0.5 * math.log2(1.0 + snr * 0.25)
+        assert capacity.ergodic_awgn_capacity(snr, law) == pytest.approx(expected, rel=1e-8)
+
     def test_domain(self):
         for bad in (-1.0, "1", math.nan):
             with pytest.raises(DomainError):

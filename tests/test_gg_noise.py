@@ -185,6 +185,23 @@ class TestTailRadius:
         numeric = 2.0 * integrate(lambda n: gg.pdf(law, n), t, math.inf)
         assert numeric == pytest.approx(mass, rel=1e-6)
 
+    @pytest.mark.parametrize("beta", [0.3, 0.5, 0.8, 1.0, 1.5, 2.0, 3.0, 5.0, 10.0, 20.0])
+    def test_matches_inverse_incomplete_gamma(self, beta):
+        law = gg.with_variance(beta, 1.0)
+        for mass in (1e-300, 1e-100, 1e-30, 1e-10, 5e-11, 1e-8, 1e-3, 0.1, 0.5, 0.9, 0.999):
+            expected = law.scale * special.gammainccinv(1.0 / beta, mass) ** (1.0 / beta)
+            assert gg.tail_radius(law, mass) == pytest.approx(expected, rel=1e-13)
+
+    @pytest.mark.parametrize("law", [gg.GGNoise(0.0078, 1.0), gg.with_variance(0.0078, 1.0), gg.GGNoise(1000.0, 1.0)])
+    @pytest.mark.parametrize("mass", [1e-300, 1e-8, 0.5, 0.999, 1.0 - 2.0**-53])
+    def test_extreme_shapes_end(self, law, mass):
+        try:
+            radius = gg.tail_radius(law, mass)
+        except DomainError as error:
+            assert "out of range" in str(error)
+        else:
+            assert 0.0 < radius < math.inf
+
     def test_invalid_mass(self):
         for mass in (0.0, 1.0, math.nan, "abc", None):
             with pytest.raises(DomainError, match="^tail mass must"):

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 import uwacap
+from uwacap import gg_noise, numerics
 from uwacap.numerics import DomainError, QuadratureError, integer, integrate, log_gamma, real
 
 
@@ -111,6 +112,33 @@ class TestIntegrate:
         assert math.isfinite(excinfo.value.estimate)
         assert excinfo.value.error_indicator > 0
 
+    @pytest.mark.parametrize("beta", [0.3, 0.5, 0.8, 1.0, 1.5, 2.0, 3.0, 5.0, 8.0, 12.0, 20.0])
+    def test_gg_half_line_mass(self, beta):
+        # the cusp of beta < 1 sits on the end both half-lines share
+        law = gg_noise.with_variance(beta, 1.0)
+        for lower, upper in ((-math.inf, 0.0), (0.0, math.inf)):
+            assert integrate(lambda n: gg_noise.pdf(law, n), lower, upper) == pytest.approx(0.5, abs=1e-12)
+
+    def test_far_nodes_raise_no_warning(self):
+        # the density is 0 at every node, so the rule walks out to e**709,
+        # where z**20 overflows; RuntimeWarnings are errors in this suite
+        law = gg_noise.with_variance(20.0, 1.0)
+        assert integrate(lambda n: gg_noise.pdf(law, n), 3.0, math.inf) == 0.0
+
+    def test_evaluation_cap_raises(self, monkeypatch):
+        monkeypatch.setattr(numerics, "MAX_EVALUATIONS", 40)
+        calls = []
+
+        def f(t):
+            calls.append(t)
+            return math.exp(-t)
+
+        with pytest.raises(QuadratureError, match="within 40 integrand evaluations") as excinfo:
+            integrate(f, 0.0, math.inf)
+        assert len(calls) == 40
+        assert excinfo.value.estimate == pytest.approx(1.0, rel=1e-2)
+        assert 0.0 < excinfo.value.error_indicator < 1.0
+
     def test_bad_domain(self):
         with pytest.raises(DomainError):
             integrate(math.exp, 1.0, 0.0)
@@ -128,8 +156,19 @@ def run_fresh(code):
 
 
 def test_cli_import_leaves_scipy_integrate_unloaded():
-    # scipy.integrate costs about 0.2 s of every cold CLI call that does no quadrature
-    assert run_fresh("import sys, uwacap.cli; print('scipy.integrate' in sys.modules)") == "False\n"
+    # no module of the package imports SciPy; scipy.integrate alone costs about 0.6 s of a cold call
+    assert run_fresh("import sys, uwacap.cli; print('scipy' in sys.modules)") == "False\n"
+
+
+def test_verify_runs_with_scipy_blocked():
+    code = (
+        "import os, sys\n"
+        "sys.modules['scipy'] = None  # importing it now raises ImportError\n"
+        "from uwacap.cli import main\n"
+        "assert main(['--out', os.devnull, 'verify', '--quick']) == 0\n"
+        "print(sys.modules['scipy'], [m for m in sys.modules if m.startswith('scipy.')])"
+    )
+    assert run_fresh(code) == "None []\n"
 
 
 def test_sample_leaves_scipy_unloaded():
