@@ -8,7 +8,6 @@ more peaked, heavier-tailed law.
 
 from __future__ import annotations
 
-import itertools
 import math
 import sys
 from dataclasses import dataclass
@@ -19,6 +18,7 @@ _EPS = sys.float_info.epsilon
 _TINY = 1e-300  # Lentz's stand-in for a zero denominator
 _LOG_X_MAX = math.log(sys.float_info.max)  # tail_radius never lets e**x overflow
 _MAX_STEPS = 200  # Newton and bisection steps of tail_radius
+_MAX_TERMS = 10_000  # series or continued-fraction terms of Q; enough for 1/beta up to about 1e6
 
 
 @dataclass(frozen=True)
@@ -117,32 +117,34 @@ def _log_q(a, y, log_gamma_a):
 
     Q = 1 - P with P by its power series below x = a + 1 (DLMF 8.7.1);
     above it, Q by Lentz's evaluation of its continued fraction (DLMF 8.9.2).
+    Either needs O(sqrt(a)) terms; past _MAX_TERMS it raises DomainError.
     """
     x = math.exp(y)
     log_front = a * y - x - log_gamma_a
     if x < a + 1.0:
         term = total = 1.0 / a
-        n = a
-        while term > _EPS * total:
-            n += 1.0
-            term *= x / n
+        for n in range(1, _MAX_TERMS):
+            term *= x / (a + n)
             total += term
-        p = math.exp(log_front + math.log(total))
-        return (math.log1p(-p) if p < 1.0 else -math.inf), log_front
-    b = x + 1.0 - a
-    c, d = 1.0 / _TINY, 1.0 / b
-    fraction = d
-    for i in itertools.count(1):
-        an = -i * (i - a)
-        b += 2.0
-        d = an * d + b
-        d = 1.0 / (d if abs(d) > _TINY else _TINY)
-        c = b + an / c
-        c = c if abs(c) > _TINY else _TINY
-        delta = c * d
-        fraction *= delta
-        if abs(delta - 1.0) <= _EPS:
-            return log_front + math.log(fraction), log_front
+            if term <= _EPS * total:
+                p = math.exp(log_front + math.log(total))
+                return (math.log1p(-p) if p < 1.0 else -math.inf), log_front
+    else:
+        b = x + 1.0 - a
+        c, d = 1.0 / _TINY, 1.0 / b
+        fraction = d
+        for i in range(1, _MAX_TERMS):
+            an = -i * (i - a)
+            b += 2.0
+            d = an * d + b
+            d = 1.0 / (d if abs(d) > _TINY else _TINY)
+            c = b + an / c
+            c = c if abs(c) > _TINY else _TINY
+            delta = c * d
+            fraction *= delta
+            if abs(delta - 1.0) <= _EPS:
+                return log_front + math.log(fraction), log_front
+    raise DomainError("beta=%r is out of range: Q(1/beta, x) needs more than %d terms" % (1.0 / a, _MAX_TERMS))
 
 
 def tail_radius(law, mass):
@@ -153,8 +155,9 @@ def tail_radius(law, mass):
     from the right of the root never pass it. From the first guess
     x = 1/beta - ln mass, y climbs in steps that double until it is right of
     the root; then Newton steps inside the bisection bracket so found
-    converge to it. A y past 709, where e**x would overflow, or a radius
-    that leaves the positive floats, raises DomainError.
+    converge to it. A y past 709, where e**x would overflow, no convergence
+    within 200 steps, or a radius that leaves the positive floats, raises
+    DomainError.
     """
     if not 0.0 < real("tail mass", mass) < 1.0:
         raise DomainError("tail mass must lie in (0, 1), got %r" % (mass,))
@@ -185,6 +188,8 @@ def tail_radius(law, mass):
         y += step
         if abs(step) <= _EPS * max(1.0, abs(y)):
             break
+    else:
+        raise DomainError("beta=%r with tail mass %r is out of range: Q cannot be inverted" % (law.beta, mass))
     try:
         radius = law.scale * math.exp(a * y)
     except OverflowError:

@@ -192,7 +192,16 @@ class TestTailRadius:
             expected = law.scale * special.gammainccinv(1.0 / beta, mass) ** (1.0 / beta)
             assert gg.tail_radius(law, mass) == pytest.approx(expected, rel=1e-13)
 
-    @pytest.mark.parametrize("law", [gg.GGNoise(0.0078, 1.0), gg.with_variance(0.0078, 1.0), gg.GGNoise(1000.0, 1.0)])
+    @pytest.mark.parametrize(
+        "law",
+        [
+            gg.GGNoise(0.0078, 1.0),
+            gg.with_variance(0.0078, 1.0),
+            gg.GGNoise(1000.0, 1.0),
+            gg.GGNoise(1e-300, 1.0),
+            gg.GGNoise(1e300, 1.0),
+        ],
+    )
     @pytest.mark.parametrize("mass", [1e-300, 1e-8, 0.5, 0.999, 1.0 - 2.0**-53])
     def test_extreme_shapes_end(self, law, mass):
         try:
