@@ -156,8 +156,8 @@ def tail_radius(law, mass):
     x = 1/beta - ln mass, y climbs in steps that double until it is right of
     the root; then Newton steps inside the bisection bracket so found
     converge to it. A y past 709, where e**x would overflow, no convergence
-    within 200 steps, or a radius that leaves the positive floats, raises
-    DomainError.
+    within 200 steps, a shape 1/beta past about 1e6 (too many terms of Q),
+    or a radius that leaves the positive floats, raises DomainError.
     """
     if not 0.0 < real("tail mass", mass) < 1.0:
         raise DomainError("tail mass must lie in (0, 1), got %r" % (mass,))
