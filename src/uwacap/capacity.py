@@ -13,7 +13,6 @@ ln G (G = mu * (h / h_root)**alpha ~ Gamma(mu, 1)) that needs only ``math``.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 
@@ -23,7 +22,7 @@ from .numerics import (
     DEFAULT_RTOL,
     MAX_EVALUATIONS,
     DomainError,
-    QuadratureError,
+    halving_trapezoid,
     log_gamma,
     real,
     to_units,
@@ -162,8 +161,8 @@ def ergodic_awgn_capacity(snr_avg, fading, rtol=DEFAULT_RTOL, units="bits"):
         E = mu**mu e**-mu / Gamma(mu) * Int 0.5 * softplus(2v/alpha + ln c) * e**(mu * (v - expm1(v))) dv
 
     over the real line. The integrand is analytic for |Im v| < (pi/2) * min(1, alpha),
-    so each halving of the step roughly squares the error: the step halves
-    until |T(h/2) - T(h)| <= max(1e-12, rtol * |T|). It is also log-concave, so
+    so each halving of the step roughly squares the error: ``halving_trapezoid``
+    halves it until |T(h/2) - T(h)| <= max(1e-12, rtol * |T|). It is also log-concave, so
     once the lattice values fall their ratios keep falling, and each side is
     cut where a geometric bound puts the rest below rtol/1000 of the sum. The
     lattice is centred on the mode, with a first step no wider than the
@@ -208,44 +207,14 @@ def ergodic_awgn_capacity(snr_avg, fading, rtol=DEFAULT_RTOL, units="bits"):
     peak = phi(centre)
     scale = math.exp(peak + _log_gamma_weight(mu)) / 2.0  # the integrand at the centre, in nats
     atol = ABSOLUTE_TOLERANCE / scale if scale > 0.0 else math.inf
-    tail = 1e-3 * rtol
-    evaluations, estimate, indicator = 0, math.nan, math.inf
 
-    def lattice_sum(start, spacing, ref):
-        """Sum of f / f(centre) at start + k * spacing, k = 0, 1, ..., cut once the rest is negligible."""
-        nonlocal evaluations
-        total = last = 0.0
-        for k in itertools.count():
-            if evaluations == MAX_EVALUATIONS:
-                raise QuadratureError(
-                    "the trapezoid rule did not converge within %d integrand evaluations" % MAX_EVALUATIONS,
-                    estimate=estimate * scale,
-                    error_indicator=indicator * scale,
-                )
-            evaluations += 1
-            lf = phi(start + k * spacing) - peak
-            f = math.exp(lf)
-            total += f
-            if f == 0.0:
-                return total
-            if k and lf < last:  # falling: no later ratio exceeds r, so the rest is <= f r / (1 - r)
-                r = math.exp(lf - last)
-                if f * r <= tail * (1.0 - r) * (ref + total):
-                    return total
-            last = lf
+    def term(v):  # f / f(centre); phi is concave, so past a 0 every value on that side is 0
+        f = math.exp(phi(v) - peak)
+        return f if f > 0.0 else None
 
     h = min(width, 0.5 * math.pi * min(1.0, fading.alpha))
-    total = lattice_sum(centre, h, 0.0)
-    estimate = h * (total + lattice_sum(centre - h, -h, total))
-    while True:
-        ref = estimate / h  # the new nodes, midway between the old ones, sum to about this
-        total = lattice_sum(centre + 0.5 * h, h, ref)
-        total += lattice_sum(centre - 0.5 * h, -h, ref + total)
-        h *= 0.5
-        refined = 0.5 * estimate + h * total
-        indicator, estimate = abs(refined - estimate), refined
-        if indicator <= max(atol, rtol * abs(estimate)):
-            return to_units(estimate * scale, units)
+    nats = halving_trapezoid(term, centre, h, rtol, atol, 1e-3 * rtol, MAX_EVALUATIONS, log_concave=True, scale=scale)
+    return to_units(nats, units)
 
 
 def ergodic_bounds(snr_avg, fading, beta, rtol=DEFAULT_RTOL, units="bits"):

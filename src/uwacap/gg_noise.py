@@ -170,7 +170,11 @@ def tail_radius(law, mass):
         return log_q - target, -math.exp(log_front - log_q)
 
     lo, hi = -math.inf, math.inf  # the excess is > 0 at lo and < 0 at hi
-    y, reach = math.log(a - target), 1.0
+    # where P(a, x) = x**a / Gamma(a + 1) * (1 + O(x)) puts the root at a tiny x,
+    # as for a large beta at a moderate mass, that is the guess; else the tail's
+    y, reach = (math.log1p(-mass) + log_gamma(a + 1.0)) / a, 1.0
+    if y > -40.0:
+        y = math.log(a - target)
     for _ in range(_MAX_STEPS):
         if y > _LOG_X_MAX:
             raise DomainError("beta=%r with tail mass %r is out of range: the radius overflows" % (law.beta, mass))

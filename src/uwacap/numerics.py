@@ -16,9 +16,9 @@ LN2 = math.log(2.0)
 
 DEFAULT_RTOL = 1e-8  # default relative tolerance of the ergodic and verify quadratures
 ABSOLUTE_TOLERANCE = 1e-12  # their absolute tolerance, in nats for the ergodic rule
-MAX_EVALUATIONS = 100_000  # integrand values per quadrature before QuadratureError
+MAX_EVALUATIONS = 100_000  # lattice terms per quadrature before QuadratureError
 _HALF_PI = 0.5 * math.pi
-_NEGLIGIBLE = 2.0**-53  # a term below this fraction of the sum cannot change it
+_NEGLIGIBLE = 2.0**-53  # a tail below this fraction of the sum cannot change it
 
 
 class DomainError(ValueError):
@@ -84,6 +84,68 @@ def to_units(nats, units):
     raise DomainError("units must be 'bits' or 'nats', got %r" % (units,))
 
 
+def halving_trapezoid(term, origin, h, rtol, atol, tail, cap, halvings=0, log_concave=False, scale=1.0):
+    """scale * T, with T = h * (sum over integers k of term(origin + k * h)) and h halving until T settles.
+
+    Each halving adds the nodes midway between the old ones. It stops once
+    |T(h/2) - T(h)| <= max(atol, rtol * |T|), but not before ``halvings``
+    halvings. term(t) is a float, or None where the node t and every node
+    past it on its side of origin add nothing. Each side is walked outwards
+    from origin. Once |term| falls by a ratio r (a 0 after a nonzero term is
+    a fall; 0s before it are not), the rest of the side is at most
+    |term| * r / (1 - r) if no later ratio exceeds r, and the side stops
+    when that bound is below ``tail`` times the sum. That holds as it stands
+    for a ``log_concave`` lattice. Any other lattice, such as the doubly
+    exponential tails of a double-exponential rule, is walked on each
+    refinement at least as far as the coarser levels went, so that a side
+    that dips and rises again is not cut short. Past ``cap`` terms it raises
+    QuadratureError carrying scale times the last estimate and indicator.
+    """
+    terms, estimate, indicator = 0, math.nan, math.inf
+    reach = {True: 0.0, False: 0.0}  # the farthest |t - origin| walked on each side
+
+    def side(start, spacing, ref):
+        """Sum of term(start + k * spacing), k = 0, 1, ..., cut once the rest is negligible."""
+        nonlocal terms
+        right = spacing > 0.0
+        total = last = 0.0
+        for k in itertools.count():
+            if terms == cap:
+                raise QuadratureError(
+                    "the trapezoid rule did not converge within %d integrand evaluations" % cap,
+                    estimate=estimate * scale,
+                    error_indicator=indicator * scale,
+                )
+            terms += 1
+            t = start + k * spacing
+            f = term(t)
+            if f is None:
+                break
+            total += f
+            size = abs(f)
+            if k and size < last and (log_concave or abs(t - origin) > reach[right]):
+                r = size / last
+                if size * r <= tail * (1.0 - r) * abs(ref + total):
+                    break
+            if size > 0.0:  # a 0 after the peak counts as a fall; 0s before it do not
+                last = size
+        reach[right] = max(reach[right], abs(t - origin))
+        return total
+
+    total = side(origin, h, 0.0)
+    estimate = h * (total + side(origin - h, -h, total))
+    while True:
+        ref = estimate / h  # the new nodes, midway between the old ones, sum to about this
+        total = side(origin + 0.5 * h, h, ref)
+        total += side(origin - 0.5 * h, -h, ref + total)
+        h *= 0.5
+        halvings -= 1
+        refined = 0.5 * estimate + h * total
+        indicator, estimate = abs(refined - estimate), refined
+        if halvings <= 0 and indicator <= max(atol, rtol * abs(estimate)):
+            return estimate * scale
+
+
 def integrate(f, lower, upper, rtol=DEFAULT_RTOL):
     """Double-exponential (Takahasi-Mori) quadrature of f over [lower, upper]; either end may be infinite.
 
@@ -93,28 +155,17 @@ def integrate(f, lower, upper, rtol=DEFAULT_RTOL):
     distance d * (1 - tanh |u|) to the nearer end is formed without
     cancellation, so an endpoint singularity keeps its digits. The
     transformed integrand decays doubly exponentially in t, so the
-    trapezoid rule in t converges exponentially: the step halves from 1
-    until |T(h/2) - T(h)| <= max(1e-12, rtol * |T|). Each side of t = 0 is
-    cut at the first term that no longer changes the sum in double
-    precision, or where the nodes leave the floats. Past MAX_EVALUATIONS
-    values of f it raises QuadratureError carrying the last estimate and
-    indicator.
+    trapezoid rule in t converges exponentially. ``halving_trapezoid``
+    sums it from step 1 and accepts no step above 1/16, so that a narrow
+    peak between the coarse nodes is not taken for a settled 0; each side
+    of t = 0 ends where the rest cannot change the sum in double precision,
+    or where the nodes leave the floats. Past MAX_EVALUATIONS terms (one
+    value of f each, two on the whole line) it raises QuadratureError
+    carrying the last estimate and indicator.
     """
     if math.isnan(lower) or math.isnan(upper) or not lower < upper:
         raise DomainError("integration domain must satisfy lower < upper")
     rtol = real("rtol", rtol, 0.0)
-    evaluations, estimate, indicator = 0, math.nan, math.inf
-
-    def value(x):
-        nonlocal evaluations
-        if evaluations == MAX_EVALUATIONS:
-            raise QuadratureError(
-                "the double-exponential rule did not converge within %d integrand evaluations" % MAX_EVALUATIONS,
-                estimate=estimate,
-                error_indicator=indicator,
-            )
-        evaluations += 1
-        return f(x)
 
     def term(t):
         """The transformed integrand at t; None once its node has left the floats."""
@@ -124,8 +175,10 @@ def integrate(f, lower, upper, rtol=DEFAULT_RTOL):
             except OverflowError:
                 return None
             weight = _HALF_PI * math.cosh(t) * e
+            if math.isinf(weight):  # an infinite weight times f(x) = 0 would be nan
+                return None
             if math.isinf(lower) and math.isinf(upper):
-                return None if e == 0.0 else weight * (value(e) + value(-e))
+                return None if e == 0.0 else weight * (f(e) + f(-e))
             x = lower + e if math.isinf(upper) else upper - e
         else:
             half = 0.5 * upper - 0.5 * lower
@@ -133,28 +186,7 @@ def integrate(f, lower, upper, rtol=DEFAULT_RTOL):
             gap = 2.0 * half * e / (1.0 + e)  # half * (1 - tanh|u|), the distance to the nearer end
             x = upper - gap if t > 0.0 else lower + gap
             weight = math.pi * math.cosh(t) * gap / (1.0 + e)  # half * (pi/2) cosh(t) / cosh(u)**2
-        return None if x in (lower, upper) or math.isinf(x) else weight * value(x)
+        return None if x in (lower, upper) or math.isinf(x) else weight * f(x)
 
-    def side(start, spacing, ref):
-        """Sum of the terms at start + k * spacing, k = 0, 1, ..., up to the first negligible one."""
-        total = 0.0
-        for k in itertools.count():
-            f_t = term(start + k * spacing)
-            if f_t is None:
-                return total
-            total += f_t
-            if abs(f_t) < _NEGLIGIBLE * abs(ref + total):
-                return total
-
-    h = 1.0
-    total = side(0.0, h, 0.0)
-    estimate = h * (total + side(-h, -h, total))
-    while True:
-        ref = estimate / h  # the new nodes, midway between the old ones, sum to about this
-        total = side(0.5 * h, h, ref)
-        total += side(-0.5 * h, -h, ref + total)
-        h *= 0.5
-        refined = 0.5 * estimate + h * total
-        indicator, estimate = abs(refined - estimate), refined
-        if indicator <= max(ABSOLUTE_TOLERANCE, rtol * abs(estimate)):
-            return float(estimate)
+    estimate = halving_trapezoid(term, 0.0, 1.0, rtol, ABSOLUTE_TOLERANCE, _NEGLIGIBLE, MAX_EVALUATIONS, halvings=4)
+    return float(estimate)

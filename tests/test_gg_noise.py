@@ -204,6 +204,11 @@ class TestTailRadius:
     )
     @pytest.mark.parametrize("mass", [1e-300, 1e-8, 0.5, 0.999, 1.0 - 2.0**-53])
     def test_extreme_shapes_end(self, law, mass):
+        if law.beta >= 1000.0 and mass >= 0.5:
+            # nearly uniform on [-scale, scale]: P(|N| <= t) = (t / scale) / Gamma(1 + 1/beta) for t < scale
+            expected = (1.0 - mass) * math.gamma(1.0 + 1.0 / law.beta)
+            assert gg.tail_radius(law, mass) == pytest.approx(expected, rel=1e-12)
+            return
         try:
             radius = gg.tail_radius(law, mass)
         except DomainError as error:

@@ -119,6 +119,24 @@ class TestIntegrate:
         for lower, upper in ((-math.inf, 0.0), (0.0, math.inf)):
             assert integrate(lambda n: gg_noise.pdf(law, n), lower, upper) == pytest.approx(0.5, abs=1e-12)
 
+    def test_narrow_density_on_the_whole_line(self):
+        # sigma = 1e-3: the density is 0 at the nodes next to t = 0, and its mass lies past them
+        law = gg_noise.with_variance(2.0, 1e-6)
+        assert integrate(lambda n: gg_noise.pdf(law, n), -math.inf, math.inf) == pytest.approx(1.0, abs=1e-12)
+
+    def test_peak_between_coarse_nodes(self):
+        # the step-1 nodes x = 1, 6.3 and 298 all miss a unit bump at 20
+        value = integrate(lambda x: math.exp(-0.5 * (x - 20.0) ** 2), 0.0, math.inf)
+        assert value == pytest.approx(math.sqrt(2.0 * math.pi), rel=1e-10)
+
+    def test_second_peak_past_a_dip(self):
+        # a refinement that stopped in the dip after the first peak would halve the second away
+        def f(x):
+            near, far = x, x - 20.0
+            return (math.exp(-0.5 * near * near) + math.exp(-0.5 * far * far)) / math.sqrt(2.0 * math.pi)
+
+        assert integrate(f, -math.inf, math.inf) == pytest.approx(2.0, rel=1e-10)
+
     def test_far_nodes_raise_no_warning(self):
         # the density is 0 at every node, so the rule walks out to e**709,
         # where z**20 overflows; RuntimeWarnings are errors in this suite
