@@ -176,18 +176,22 @@ def ergodic_awgn_capacity(snr_avg, fading, rtol=DEFAULT_RTOL, units="bits"):
     mu, a = fading.mu, 2.0 / fading.alpha
     log_c = math.log(rho) + 2.0 * math.log(fading.h_root)
 
-    def phi(v):  # ln of the integrand, up to a constant
+    peak = None
+
+    def phi(v):  # ln of the integrand, up to a constant; once peak is set, e**(that - peak)
         z = a * v + log_c
         if z > 0.0:
             log_softplus = math.log(z + math.log1p(math.exp(-z)))
         else:
             log_softplus = z if z < -37.0 else math.log(math.log1p(math.exp(z)))
         if abs(v) < 1e-4:  # v - expm1(v) cancels, and a huge mu puts the lattice at v ~ 1/sqrt(mu)
-            return log_softplus - mu * v * v * (0.5 + v * (1.0 / 6.0 + v / 24.0))
-        try:
-            return log_softplus + mu * (v - math.expm1(v))
-        except OverflowError:  # e**v past the float range: the weight is 0
-            return -math.inf
+            ln_f = log_softplus - mu * v * v * (0.5 + v * (1.0 / 6.0 + v / 24.0))
+        else:
+            try:
+                ln_f = log_softplus + mu * (v - math.expm1(v))
+            except OverflowError:  # e**v past the float range: the weight is 0
+                ln_f = -math.inf
+        return ln_f if peak is None else math.exp(ln_f - peak)
 
     # phi is concave, and its slope a * q - mu * expm1(v) is > 0 at v = 0 and < 0
     # at log1p(a / mu): Newton steps inside that bracket find the mode
@@ -204,16 +208,12 @@ def ergodic_awgn_capacity(snr_avg, fading, rtol=DEFAULT_RTOL, units="bits"):
             break
         centre += step
 
-    peak = phi(centre)
+    peak = phi(centre)  # from here on phi(v) is the integrand over its value at the centre
     scale = math.exp(peak + _log_gamma_weight(mu)) / 2.0  # the integrand at the centre, in nats
     atol = ABSOLUTE_TOLERANCE / scale if scale > 0.0 else math.inf
 
-    def term(v):  # f / f(centre); phi is concave, so past a 0 every value on that side is 0
-        f = math.exp(phi(v) - peak)
-        return f if f > 0.0 else None
-
     h = min(width, 0.5 * math.pi * min(1.0, fading.alpha))
-    nats = halving_trapezoid(term, centre, h, rtol, atol, 1e-3 * rtol, MAX_EVALUATIONS, log_concave=True, scale=scale)
+    nats = halving_trapezoid(phi, centre, h, rtol, atol, 1e-3 * rtol, MAX_EVALUATIONS, log_concave=True, scale=scale)
     return to_units(nats, units)
 
 

@@ -108,27 +108,27 @@ def halving_trapezoid(term, origin, h, rtol, atol, tail, cap, halvings=0, log_co
         """Sum of term(start + k * spacing), k = 0, 1, ..., cut once the rest is negligible."""
         nonlocal terms
         right = spacing > 0.0
-        total = last = 0.0
+        budget, total, last = cap - terms, 0.0, 0.0
         for k in itertools.count():
-            if terms == cap:
+            if k == budget:
                 raise QuadratureError(
                     "the trapezoid rule did not converge within %d integrand evaluations" % cap,
                     estimate=estimate * scale,
                     error_indicator=indicator * scale,
                 )
-            terms += 1
             t = start + k * spacing
             f = term(t)
             if f is None:
                 break
             total += f
-            size = abs(f)
-            if k and size < last and (log_concave or abs(t - origin) > reach[right]):
+            size = f if f > 0.0 else -f
+            if size < last and (log_concave or abs(t - origin) > reach[right]):
                 r = size / last
                 if size * r <= tail * (1.0 - r) * abs(ref + total):
                     break
-            if size > 0.0:  # a 0 after the peak counts as a fall; 0s before it do not
+            if size:  # a 0 after the peak counts as a fall; 0s before it do not
                 last = size
+        terms += k + 1
         reach[right] = max(reach[right], abs(t - origin))
         return total
 
