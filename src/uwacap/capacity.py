@@ -25,6 +25,7 @@ from .numerics import (
     halving_trapezoid,
     log_gamma,
     real,
+    stirling_remainder,
     to_units,
 )
 
@@ -145,8 +146,7 @@ def _softplus_slope(z):
 def _log_gamma_weight(mu):
     """ln(mu**mu * e**-mu / Gamma(mu)); past mu = 100 by Stirling's series, where the direct sum cancels."""
     if mu > 100.0:
-        m2 = 1.0 / (mu * mu)
-        return 0.5 * math.log(mu / (2.0 * math.pi)) - (1.0 / 12.0 - m2 * (1.0 / 360.0 - m2 / 1260.0)) / mu
+        return 0.5 * math.log(mu / (2.0 * math.pi)) - stirling_remainder(mu)
     return mu * math.log(mu) - mu - log_gamma(mu)
 
 

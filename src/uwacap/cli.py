@@ -23,7 +23,7 @@ from .capacity import (
     gap,
 )
 from .config import SimConfig
-from .numerics import DomainError, QuadratureError
+from .numerics import DEFAULT_RTOL, DomainError, QuadratureError
 from .secrecy import (
     SecrecyScenario,
     secrecy_positive,
@@ -185,7 +185,9 @@ def build_parser():
     parser.add_argument("--threads", type=int, default=1, help="worker threads (never affects output)")
     parser.add_argument("--units", choices=("bits", "nats"), default="bits")
     parser.add_argument("--out", default="stdout", help="output path or 'stdout'")
-    parser.add_argument("--quad-rtol", type=float, default=1e-8, help="quadrature relative tolerance")
+    parser.add_argument(
+        "--quad-rtol", type=float, default=DEFAULT_RTOL, help="relative tolerance of the ergodic rule and verify's pdf_mass"
+    )
 
     sub = parser.add_subparsers(dest="command", required=True)
 

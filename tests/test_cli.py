@@ -139,6 +139,12 @@ class TestErgodicCommand:
             lowers.append(float(rows[0][1]))
         assert lowers == sorted(lowers)
 
+    def test_huge_mu_is_the_unfaded_rate(self, capsys):
+        # ln Gamma(mu) - ln Gamma(mu + 1) at mu = 1e15 cancels in doubles; h_root came out e**2
+        code, out, _ = run_cli(capsys, "ergodic", "--alpha", "2", "--mu", "1e15", "--beta", "2", "--snr-db", "0")
+        assert code == 0
+        assert out.splitlines() == ["snr_db,lower,upper", "0,0.5,0.5"]
+
 
 class TestSecrecyCommand:
     def test_gaussian_case_onset(self, capsys):

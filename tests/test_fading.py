@@ -1,5 +1,6 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from scipy import stats
@@ -73,9 +74,27 @@ class TestSpecialCases:
         assert 2.0 * math.log(law.h_root) + math.lgamma(1.0 + 2.0 / law.alpha) == pytest.approx(0.0, abs=1e-10)
 
 
+    def test_unit_power_infinite_exponent_is_rejected(self):
+        # 2/alpha overflows, and the large-mu branch forms inf - inf
+        with pytest.raises(DomainError, match="^alpha=5e-324 with mu=1000.0"):
+            fading.unit_power(5e-324, 1e3)
+
+
 class TestUnitPower:
     @pytest.mark.parametrize("alpha", PARAM_GRID)
     @pytest.mark.parametrize("mu", PARAM_GRID)
     def test_unit_second_moment(self, alpha, mu):
         law = fading.unit_power(alpha, mu)
         assert gengamma(law).moment(2) == pytest.approx(1.0, rel=1e-12)
+
+    @pytest.mark.parametrize("alpha", [0.05, 0.5, 2.0, 5.0, 20.0])
+    def test_h_root_at_large_mu(self, alpha):
+        # ln h_root = (r ln mu + ln Gamma(mu) - ln Gamma(mu + r)) / 2 with r = 2/alpha:
+        # the log-gammas are near mu ln mu, so the oracle carries k + 40 digits
+        for k in range(2, 301):
+            mu = 10.0**k
+            with mpmath.workdps(k + 40):
+                m, r = mpmath.mpf(mu), 2 / mpmath.mpf(alpha)
+                exact = mpmath.exp((r * mpmath.log(m) + mpmath.loggamma(m) - mpmath.loggamma(m + r)) / 2)
+                assert abs(fading.unit_power(alpha, mu).h_root / exact - 1) <= 1e-13, mu
+

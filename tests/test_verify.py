@@ -312,29 +312,13 @@ class TestGaussianInputMI:
         assert mi_nats == pytest.approx(1e-4 * 2.0 / 2.0, rel=0.05)
 
 
-class TestSpherePacking:
-    def test_gaussian_ratio_is_one(self):
-        for k in (1, 2, 16):
-            assert verify.sphere_packing_ratio(2.0, k) == pytest.approx(1.0, abs=1e-12)
-
-    def test_laplace_single_dimension(self):
-        expected = 2.0 ** capacity.gap(1.0, "bits")
-        assert verify.sphere_packing_ratio(1.0, 1) == pytest.approx(expected, rel=1e-12)
-
-    def test_exponent_additivity(self):
-        one = verify.sphere_packing_ratio(1.0, 1)
-        assert verify.sphere_packing_ratio(1.0, 10) == pytest.approx(one**10, rel=1e-10)
-
-    def test_matches_grid_entropy_difference(self):
-        # independent route: exponentiated numeric entropy difference
-        gaussian = verify.grid_entropy(verify.gg_density_grid(gg.with_variance(2.0, 1.0)))
-        shaped = verify.grid_entropy(verify.gg_density_grid(gg.with_variance(1.0, 1.0)))
-        assert verify.sphere_packing_ratio(1.0, 3) == pytest.approx(
-            math.exp(3.0 * (gaussian - shaped)), abs=1e-5
-        )
-
-    def test_domain(self):
-        # the last two are integers whose ratio overflows a float
-        for dimensions in (0, 2.5, "abc", math.inf, math.nan, None, 10**6, 10**400):
-            with pytest.raises(DomainError, match="^dimensions"):
-                verify.sphere_packing_ratio(1.0, dimensions)
+    @pytest.mark.parametrize("beta, snr", [(2.0, 1e6), (0.5, 1e8), (20.0, 1e12), (2.0, 1e-8), (3.0, 1e-6)])
+    def test_extreme_snr_lands_inside_sandwich(self, beta, snr):
+        # far outside verify's SNR 0.1 ... 100: the grid must still land its
+        # mass window, which at high SNR is a 2e-10 floor on a mass near 1 - 1e-10
+        config = capacity.ChannelConfig(snr, gg.with_variance(beta, 1.0))
+        grid = verify.output_density(config)
+        assert grid.landed
+        mi = verify._grid_mi(grid, config.noise, "bits")
+        bounds = capacity.awggn_bounds(config, "bits")
+        assert bounds.lower - 1e-4 <= mi <= bounds.upper + 1e-4
