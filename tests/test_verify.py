@@ -322,3 +322,49 @@ class TestGaussianInputMI:
         mi = verify._grid_mi(grid, config.noise, "bits")
         bounds = capacity.awggn_bounds(config, "bits")
         assert bounds.lower - 1e-4 <= mi <= bounds.upper + 1e-4
+
+
+VERIFY_SNRS = [0.1, 1.0, 10.0, 100.0]
+
+
+class TestFirstGridStep:
+    """output_density's first grid has a step of at most sqrt(P)/4, capped at 2001 points."""
+
+    @pytest.mark.parametrize("snr", VERIFY_SNRS)
+    @pytest.mark.parametrize("beta", BETA_GRID)
+    def test_verify_configs_land_on_the_first_grid(self, monkeypatch, beta, snr):
+        calls = counted(monkeypatch, verify, "_convolved_values", lambda law, power, points, *radii: points)
+        grid = verify.output_density(capacity.ChannelConfig(snr, gg.with_variance(beta, 1.0)))
+        assert len(calls) == 1
+        step = (grid.points[-1] - grid.points[0]) / (len(grid.points) - 1)
+        # 1e-12 allows for the rounding of the linspace ends
+        assert step <= 0.25 * math.sqrt(snr) * (1.0 + 1e-12)
+
+    @pytest.mark.parametrize("snr", VERIFY_SNRS)
+    @pytest.mark.parametrize("beta", BETA_GRID)
+    def test_halving_the_step_moves_the_mi_by_under_1e_9_bits(self, beta, snr):
+        law = gg.with_variance(beta, 1.0)
+        grid = verify.output_density(capacity.ChannelConfig(snr, law))
+        points = np.linspace(grid.points[0], grid.points[-1], 2 * len(grid.points) - 1)
+        noise_radius = gg.tail_radius(law, 0.5e-10)
+        input_radius = gg.tail_radius(gg.GGNoise(2.0, math.sqrt(2.0 * snr)), 0.5e-10)
+        values = verify._convolved_values(law, snr, points, noise_radius, input_radius)
+        finer = verify.DensityGrid(points, values, 1e-10, verify._trapezoid_weights(points))
+        assert finer.landed
+        fine_mi = verify._grid_mi(finer, law, "bits")
+        assert abs(verify._grid_mi(grid, law, "bits") - fine_mi) <= 1e-9
+
+    @pytest.mark.parametrize("power", [1e-2, 1.0, 100.0, 1e4, 1e6])
+    @pytest.mark.parametrize("beta", [0.3, 0.5, 1.0, 2.0, 3.0, 20.0])
+    def test_wide_sweep_lands_inside_sandwich(self, monkeypatch, beta, power):
+        # at large P the trapezoid's end correction on the truncated range
+        # grows with the step squared: a step of sqrt(P)/2 missed the window.
+        # Only a first grid held at the 2001-point ceiling may need doubling.
+        sizes = counted(monkeypatch, verify, "_convolved_values", lambda law, p, points, *radii: len(points))
+        config = capacity.ChannelConfig(power, gg.with_variance(beta, 1.0))
+        grid = verify.output_density(config)
+        assert grid.landed
+        assert len(sizes) == 1 or sizes[0] == 2001
+        mi = verify._grid_mi(grid, config.noise, "bits")
+        bounds = capacity.awggn_bounds(config, "bits")
+        assert bounds.lower - 1e-4 <= mi <= bounds.upper + 1e-4
