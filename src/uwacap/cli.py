@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import math
 import sys
+import warnings
 
 from . import fading as _fading
 from . import gg_noise as _gg
@@ -55,7 +56,10 @@ def _fmt(x):
 
 
 def _db_to_linear(db):
-    return 10.0 ** (db / 10.0)
+    try:
+        return 10.0 ** (db / 10.0)
+    except OverflowError:
+        raise UsageError("%s dB is past the float range as a linear SNR" % _fmt(db))
 
 
 def _parse_range(text):
@@ -128,10 +132,6 @@ def cmd_secrecy(args, config):
     snr_se = _db_to_linear(args.snr_se_db)
     condition = "printed" if args.as_printed else "derived"
     threshold = secrecy_threshold(args.beta_sd, args.beta_se, snr_se)
-    threshold_db = 10.0 * math.log10(threshold) if threshold > 0 else -math.inf
-    sys.stderr.write(
-        "# secrecy threshold: snr_sd = %s (%s dB)\n" % (_fmt(threshold), _fmt(threshold_db))
-    )
     lines = ["snr_sd_db,secrecy_rate,positive"]
     for snr_sd_db in _parse_range(args.snr_sd_db):
         scenario = SecrecyScenario(
@@ -143,17 +143,28 @@ def cmd_secrecy(args, config):
         rate = secrecy_rate_awggn(scenario, args.units)
         positive = secrecy_positive(scenario, condition)
         lines.append(",".join([_fmt(snr_sd_db), _fmt(rate), "1" if positive else "0"]))
+    # written once every row is built, so a usage error is the only stderr line
+    threshold_db = 10.0 * math.log10(threshold) if threshold > 0 else -math.inf
+    sys.stderr.write(
+        "# secrecy threshold: snr_sd = %s (%s dB)\n" % (_fmt(threshold), _fmt(threshold_db))
+    )
     _emit(lines, args.out)
     return 0
 
 
 def cmd_sample(args, config):
+    import numpy as np  # the samplers load it anyway
+
     if args.law == "gg":
         module, law = _gg, _gg.GGNoise(beta=args.beta, scale=args.scale, mean=args.mean)
     else:
         module, law = _fading, _fading.AlphaMuFading(alpha=args.alpha, mu=args.mu, h_root=args.h_root)
     count = _capped("--count", args.count)
-    draws = module.sample(law, config.seed, count, chunks=config.chunks, threads=config.threads)
+    with warnings.catch_warnings():  # process-wide, so it also quiets the worker threads
+        warnings.simplefilter("ignore", RuntimeWarning)
+        draws = module.sample(law, config.seed, count, chunks=config.chunks, threads=config.threads)
+    if not np.isfinite(draws).all():
+        raise UsageError("draws of %r lie beyond the float range" % (law,))
     lines = ["value"] + [_fmt(v) for v in draws]
     _emit(lines, args.out)
     return 0

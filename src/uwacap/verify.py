@@ -94,7 +94,7 @@ def grid_entropy(grid):
 
 
 def gg_density_grid(law):
-    """Tabulate a GG density at the Gauss-Legendre nodes of its ``_Panels`` panels.
+    """Tabulate a GG density at the Gauss-Legendre nodes between consecutive ``_panel_edges``.
 
     The panels are output_density's with no Gaussian smoothing (P -> inf):
     graded into the cusp at the mean, where the density's derivatives are
@@ -103,11 +103,10 @@ def gg_density_grid(law):
     so the grid leaves a truncation mass of 1e-8 outside; the last panel is
     trimmed to that radius.
     """
-    panels = _Panels(law, math.inf)
     radius = _gg.tail_radius(law, _GG_TRUNCATION)
-    j = np.arange(math.ceil(panels.index(radius)), dtype=float)
-    a = panels.edge(j)
-    half = 0.5 * (np.minimum(panels.edge(j + 1.0), radius) - a)
+    edges = _panel_edges(law, math.inf, radius)
+    a = edges[:-1]
+    half = 0.5 * (np.minimum(edges[1:], radius) - a)
     nodes, weights = _gauss_legendre()
     d = ((a + half)[:, None] + half[:, None] * nodes).ravel()
     w = (half[:, None] * weights).ravel()
@@ -131,56 +130,34 @@ def _gauss_legendre():
     return np.polynomial.legendre.leggauss(_GL_ORDER)
 
 
-class _Panels:
-    """Panel edges over the distance d = |n - mean| from the noise cusp.
+def _panel_edges(law, power, radius):
+    """Increasing panel edges over the distance d = |n - mean| from the noise cusp.
 
-    Regular panels lie between integer values of the stretched coordinate
-    c * u(d) = max(d / sqrt(P), (d / scale)**beta), whose inverse is
-    d = min(t * sqrt(P), scale * t**(1 / beta)) for every beta. A panel is at
-    most c * sqrt(P) wide and spans at most c of the noise exponent, so it is
-    at most c * min(sqrt(P), l_N(d)) wide, l_N(d) = scale * z**(1 - beta) / beta
-    (z = d/scale), save up to a factor max(beta, 1/beta) between the value and
-    slope crossings of the two terms. The first regular panel [0, d1] is
-    replaced by panels graded by ``_GRADING_RATIO`` into the cusp, where the
-    density's derivatives are singular for non-even beta, ending in
-    [0, d1 * 0.2**13]. Panel j is [edge(j), edge(j + 1)]; ``index`` inverts ``edge``.
-    With power = inf the map covers the bare noise law. Shapes outside
+    Regular edges lie at steps of c in the stretched coordinate
+    max(d / sqrt(P), (d / scale)**beta): d_m = min(c * m * sqrt(P),
+    scale * (c * m)**(1 / beta)) for every beta, out to the first d_m at or
+    past ``radius``: about radius / (c * sqrt(P)) of them, 8.4 million at
+    beta = 1, P = 1e-12. A panel is at most c * sqrt(P) wide and spans at most c of
+    the noise exponent, so it is at most c * min(sqrt(P), l_N(d)) wide,
+    l_N(d) = scale * z**(1 - beta) / beta (z = d/scale), save up to a factor
+    max(beta, 1/beta) between the value and slope crossings of the two
+    terms. The first regular panel [0, d_1] is replaced by panels graded by
+    ``_GRADING_RATIO`` into the cusp, where the density's derivatives are
+    singular for non-even beta, ending in [0, d_1 * 0.2**13]. With
+    power = inf the edges cover the bare noise law. Shapes outside
     ``_BETA_RANGE``, where the quadrature is unchecked, raise DomainError.
     """
-
-    def __init__(self, law, power):
-        if not _BETA_RANGE[0] <= law.beta <= _BETA_RANGE[1]:
-            raise DomainError(
-                "beta=%r is outside [%g, %g], the shapes the density quadrature is validated for"
-                % ((law.beta,) + _BETA_RANGE)
-            )
-        self.beta, self.scale = law.beta, law.scale
-        self.root = math.sqrt(power)
-        self.first = float(self._distance(_PANEL_FACTOR))
-        self.innermost = self.first * _GRADING_RATIO**_GRADED_PANELS
-
-    def _stretch(self, d):
-        return np.maximum(d / self.root, (d / self.scale) ** self.beta)
-
-    def _distance(self, t):
-        """The d at which c * u(d) = t."""
-        return np.minimum(t * self.root, self.scale * t ** (1.0 / self.beta))
-
-    def edge(self, j):
-        regular = self._distance(_PANEL_FACTOR * np.maximum(j - _GRADED_PANELS, 1.0))
-        steps_in = _GRADED_PANELS + 1.0 - np.clip(j, 1.0, _GRADED_PANELS + 1.0)
-        graded = self.first * _GRADING_RATIO**steps_in
-        return np.where(j < 1.0, j * self.innermost, np.where(j <= _GRADED_PANELS, graded, regular))
-
-    def index(self, d):
-        graded = _GRADED_PANELS + 1.0 - np.log(
-            self.first / np.clip(d, self.innermost, self.first)
-        ) / math.log(1.0 / _GRADING_RATIO)
-        return np.where(
-            d < self.innermost,
-            d / self.innermost,
-            np.where(d < self.first, graded, _GRADED_PANELS + self._stretch(d) / _PANEL_FACTOR),
+    if not _BETA_RANGE[0] <= law.beta <= _BETA_RANGE[1]:
+        raise DomainError(
+            "beta=%r is outside [%g, %g], the shapes the density quadrature is validated for"
+            % ((law.beta,) + _BETA_RANGE)
         )
+    root = math.sqrt(power)
+    stretch = max(radius / root, (radius / law.scale) ** law.beta)
+    t = _PANEL_FACTOR * np.arange(1, math.ceil(stretch / _PANEL_FACTOR) + 1)
+    regular = np.minimum(t * root, law.scale * t ** (1.0 / law.beta))
+    graded = regular[0] * _GRADING_RATIO ** np.arange(_GRADED_PANELS, 0, -1.0)
+    return np.concatenate([[0.0], graded, regular])
 
 
 def _convolved_values(law, power, points, noise_radius, input_radius):
@@ -188,14 +165,15 @@ def _convolved_values(law, power, points, noise_radius, input_radius):
 
     Each point integrates over [y - input_radius, y + input_radius] cut to
     [mean - noise_radius, mean + noise_radius], split at the cusp into at
-    most two pieces. A piece takes the ``_Panels`` panels it overlaps,
-    trimmed to its ends, so the window is clipped exactly; each panel
+    most two pieces. A piece takes the ``_panel_edges`` panels it overlaps,
+    found by binary search and trimmed to its ends, so the window is clipped
+    exactly; a piece that rounds past the last edge stops there. Each panel
     carries ``_GL_ORDER`` nodes. Pieces are evaluated in blocks of about
     ``_BLOCK_ELEMENTS`` nodes, one array expression per block, and summed
     per point with bincount.
     """
     nodes, weights = _gauss_legendre()
-    panels = _Panels(law, power)
+    edges = _panel_edges(law, power, noise_radius)
     mean = law.mean
     lo = np.maximum(mean - noise_radius, points - input_radius)
     hi = np.minimum(mean + noise_radius, points + input_radius)
@@ -207,8 +185,8 @@ def _convolved_values(law, power, points, noise_radius, input_radius):
     owner = np.tile(np.arange(len(points)), 2)
     keep = far > near
     near, far, sign, owner = near[keep], far[keep], sign[keep], owner[keep]
-    first = np.floor(panels.index(near))
-    counts = (np.ceil(panels.index(far)) - first).astype(np.int64)
+    first = np.searchsorted(edges, near, side="right") - 1
+    counts = np.minimum(np.searchsorted(edges, far), len(edges) - 1) - first
 
     log_const = law.log_norm - 0.5 * math.log(2.0 * math.pi * power)
     values = np.zeros(len(points))
@@ -218,8 +196,8 @@ def _convolved_values(law, power, points, noise_radius, input_radius):
         sizes = counts[block]
         piece = np.repeat(block, sizes)
         j = first[piece] + np.arange(len(piece)) - np.repeat(np.cumsum(sizes) - sizes, sizes)
-        a = np.maximum(panels.edge(j), near[piece])
-        b = np.minimum(panels.edge(j + 1.0), far[piece])
+        a = np.maximum(edges[j], near[piece])
+        b = np.minimum(edges[j + 1], far[piece])
         half = 0.5 * np.maximum(b - a, 0.0)
         d = (a + half)[:, None] + half[:, None] * nodes
         x = (points[owner[piece]] - mean)[:, None] - sign[piece][:, None] * d

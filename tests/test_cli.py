@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -232,6 +233,19 @@ class TestSampleCommand:
         assert out == ""
         assert err.startswith("usage error")
 
+    @pytest.mark.parametrize("threads", ["1", "2"])
+    @pytest.mark.parametrize(
+        "law,name", [(["gg", "--beta", "0.005"], "GGNoise"), (["alpha-mu", "--alpha", "1e-5"], "AlphaMuFading")]
+    )
+    def test_draws_past_the_float_range(self, capsys, threads, law, name):
+        # these draws overflow to +-inf; numpy's overflow warning must not reach stderr either
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code, out, err = run_cli(capsys, "--threads", threads, "sample", "--law", *law, "--count", "5")
+        assert (code, out, caught) == (1, "", [])
+        assert err.startswith("usage error: draws of %s(" % name)
+        assert err.count("\n") == 1
+
 
 class TestVerifyCommand:
     def test_quick_suite_passes(self, capsys):
@@ -265,6 +279,29 @@ class TestVerifyCommand:
         assert len(grid_rows) == 2
         assert all(line.endswith(" FAIL") for line in grid_rows)
         assert [line for line in out.splitlines() if line.startswith("output_mass")][0].endswith(" PASS")
+
+
+class TestDecibelOverflow:
+    """An SNR past the float range in linear terms is a one-line usage error."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["capacity", "--beta", "1", "--snr-db", "4000"],
+            ["ergodic", "--alpha", "2", "--snr-db", "4000"],
+            ["secrecy", "--beta-sd", "1", "--beta-se", "2", "--snr-se-db", "4000", "--snr-sd-db", "0"],
+            ["secrecy", "--beta-sd", "1", "--beta-se", "2", "--snr-se-db", "0", "--snr-sd-db", "4000"],
+        ],
+    )
+    def test_db_over_float_range(self, capsys, argv):
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out) == (1, "")
+        assert err == "usage error: 4000 dB is past the float range as a linear SNR\n"
+
+    def test_db_inside_float_range_prints_row(self, capsys):
+        code, out, _ = run_cli(capsys, "capacity", "--beta", "1", "--snr-db", "3080")
+        assert code == 0
+        assert parse_csv(out)[1][0][0] == "3080"
 
 
 class TestRowCap:

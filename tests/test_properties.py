@@ -4,16 +4,18 @@ Shapes range over beta in [1e-3, 20] and linear SNRs over [0, 1e12]. Laws
 built by ``with_variance`` start at beta = 0.0078: below that their scale
 underflows the normal floats and ``with_variance`` raises DomainError; laws
 built directly take scales in [1e-3, 1e3]. Unit-power fading laws take
-alpha in [0.3, 50] and mu in [0.2, 100], at SNRs in [1e-6, 1e12]. Like
+alpha in [0.3, 50] and mu in [0.2, 100], at SNRs in [1e-6, 1e12]. The CLI
+properties take any finite float for each numeric argument. Like
 tests/test_golden.py, this file needs neither numpy nor SciPy.
 """
 
 import math
+import os
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from uwacap import capacity, fading, gg_noise, secrecy
+from uwacap import capacity, cli, fading, gg_noise, secrecy
 from uwacap.numerics import ABSOLUTE_TOLERANCE, DEFAULT_RTOL, LN2, DomainError
 
 BETA = st.floats(1e-3, 20.0)
@@ -22,6 +24,7 @@ SNR = st.floats(0.0, 1e12)
 SCENARIO = st.builds(secrecy.SecrecyScenario, SNR, SNR, BETA, BETA)
 FADING = st.builds(fading.unit_power, st.floats(0.3, 50.0), st.floats(0.2, 100.0))
 ERGODIC_SNR = st.floats(1e-6, 1e12)
+FINITE = st.floats(allow_nan=False, allow_infinity=False)
 
 # the same 100 examples on every run, so the tier-1 suite stays deterministic
 closed_form = settings(max_examples=100, deadline=None, derandomize=True)
@@ -105,3 +108,37 @@ def test_ergodic_is_bounded_monotone_and_keeps_the_gap(law, snr, other, beta):
     bounds = capacity.ergodic_bounds(lo, law, beta)
     assert bounds.lower == low
     assert abs(bounds.width - capacity.gap(beta)) <= 1e-12
+
+
+def run_cli(command, *values):
+    """Exit code of ``uwacap <command>`` with each (flag, value) pair passed as flag=repr(value)."""
+    flags = ["%s=%r" % pair for pair in zip(values[::2], values[1::2])]
+    return cli.main(["--out", os.devnull, command, *flags])
+
+
+@closed_form
+@given(FINITE)
+def test_gap_cli_never_raises(beta):
+    assert cli.main(["--out", os.devnull, "gap", "--", repr(beta)]) in (0, 1)
+
+
+@closed_form
+@given(FINITE, FINITE)
+def test_capacity_cli_never_raises(beta, snr_db):
+    assert run_cli("capacity", "--beta", beta, "--snr-db", snr_db) in (0, 1)
+
+
+@closed_form
+@given(FINITE, FINITE, FINITE, FINITE)
+def test_secrecy_cli_never_raises(beta_sd, beta_se, snr_se_db, snr_sd_db):
+    code = run_cli(
+        "secrecy", "--beta-sd", beta_sd, "--beta-se", beta_se, "--snr-se-db", snr_se_db, "--snr-sd-db", snr_sd_db
+    )
+    assert code in (0, 1)
+
+
+@closed_form
+@given(FINITE, FINITE, FINITE, FINITE)
+def test_ergodic_cli_never_raises(beta, alpha, mu, snr_db):
+    # 2 is the exit code of a quadrature that did not converge
+    assert run_cli("ergodic", "--beta", beta, "--alpha", alpha, "--mu", mu, "--snr-db", snr_db) in (0, 1, 2)

@@ -111,6 +111,25 @@ class TestGGDensityGrid:
         assert gg.entropy(law) == pytest.approx(1.34657, abs=1e-5)
 
 
+class TestPanelEdges:
+    @pytest.mark.parametrize("power", [1e-8, 1.0, 1e6, math.inf])
+    @pytest.mark.parametrize("beta", [0.3, 1.0, 2.0, 20.0])
+    def test_layout(self, beta, power):
+        law = gg.with_variance(beta, 1.0)
+        radius = gg.tail_radius(law, 0.5e-10)
+        edges = verify._panel_edges(law, power, radius)
+        assert edges[0] == 0.0
+        assert np.all(np.diff(edges) > 0)
+        # 13 edges graded by 0.2 into the cusp, the last a fifth of the first regular edge
+        graded = edges[1:15]
+        np.testing.assert_allclose(graded[:-1] / graded[1:], 0.2, rtol=1e-12)
+        # regular edge m sits where max(d / sqrt(P), (d / scale)**beta) = 2m
+        regular = edges[14:]
+        stretch = np.maximum(regular / math.sqrt(power), (regular / law.scale) ** beta)
+        np.testing.assert_allclose(stretch, 2.0 * np.arange(1, len(regular) + 1), rtol=1e-12)
+        assert edges[-1] >= radius
+
+
 class TestMcEntropy:
     @pytest.mark.parametrize("beta,scale", [(2.0, math.sqrt(2.0)), (1.0, 1.0), (0.5, 1.0)])
     def test_matches_closed_form(self, beta, scale):
@@ -322,6 +341,32 @@ class TestGaussianInputMI:
         mi = verify._grid_mi(grid, config.noise, "bits")
         bounds = capacity.awggn_bounds(config, "bits")
         assert bounds.lower - 1e-4 <= mi <= bounds.upper + 1e-4
+
+
+class TestNonzeroMean:
+    """Shifting the noise moves the grids with it: neither entropy moves."""
+
+    @pytest.mark.parametrize("mean", [3.7, -1e3])
+    @pytest.mark.parametrize("beta", [0.5, 1.0, 2.0, 20.0])
+    def test_entropies_ignore_the_mean(self, beta, mean):
+        centred, shifted = gg.with_variance(beta, 1.0), gg.with_variance(beta, 1.0, mean)
+        entropies = [verify.grid_entropy(verify.gg_density_grid(law)) for law in (centred, shifted)]
+        assert abs(entropies[1] - entropies[0]) <= 1e-12
+        mis = [verify.gaussian_input_mi(capacity.ChannelConfig(1.0, law)) for law in (centred, shifted)]
+        assert abs(mis[1] - mis[0]) <= 1e-12
+
+    @pytest.mark.parametrize("mean", [1e3, -1e3])
+    def test_window_rounding_past_the_last_edge(self, mean):
+        # a noise radius on a regular edge is the last edge, and at |mean| = 1e3
+        # the window end mean - (mean - radius) rounds 2.2e-14 past it
+        law = gg.with_variance(1.0, 1.0)
+        radius = float(verify._panel_edges(law, 1.0, 2.0)[15])
+        assert verify._panel_edges(law, 1.0, radius)[-1] == radius < mean - (mean - radius)
+        input_radius = gg.tail_radius(gg.GGNoise(2.0, math.sqrt(2.0)), 0.5e-10)
+        points = np.linspace(-1.0, 1.0, 101) * (radius + input_radius)
+        centred = verify._convolved_values(law, 1.0, points, radius, input_radius)
+        shifted = verify._convolved_values(dataclasses.replace(law, mean=mean), 1.0, mean + points, radius, input_radius)
+        assert np.max(np.abs(shifted - centred)) <= 1e-12
 
 
 VERIFY_SNRS = [0.1, 1.0, 10.0, 100.0]
