@@ -17,7 +17,7 @@ import math
 import sys
 from dataclasses import dataclass
 
-from .numerics import DomainError, log_gamma, real, stirling_remainder
+from .numerics import DomainError, real, stirling_remainder
 
 
 @dataclass(frozen=True)
@@ -48,11 +48,9 @@ def unit_power(alpha, mu):
     """The (alpha, mu) law normalized so the average power gain E{h**2} is 1."""
     alpha, mu = real("alpha", alpha, 0.0), real("mu", mu, 0.0)
     r = 2.0 / alpha
-    if mu > 100.0:  # ln Gamma(mu + r) - ln Gamma(mu) - r ln mu by Stirling: the log-gammas cancel
-        log_ratio = (mu + r - 0.5) * math.log1p(r / mu) - r + stirling_remainder(mu + r) - stirling_remainder(mu)
-        h_root = math.exp(-0.5 * log_ratio)
-    else:
-        h_root = math.exp(0.5 * (r * math.log(mu) + log_gamma(mu) - log_gamma(mu + r)))
+    # ln Gamma(mu + r) - ln Gamma(mu) - r ln mu by Stirling plus J: at large mu the log-gammas would cancel
+    log_ratio = (mu + r - 0.5) * math.log1p(r / mu) - r + stirling_remainder(mu + r) - stirling_remainder(mu)
+    h_root = math.exp(-0.5 * log_ratio)
     if not h_root >= sys.float_info.min:  # nan, or subnormal and short of digits: E{h**2} = 0.82 at alpha 0.0064
         raise DomainError(
             "alpha=%r with mu=%r is out of range: the unit-power h_root underflows the normal floats" % (alpha, mu)

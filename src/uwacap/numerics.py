@@ -1,10 +1,11 @@
 """Domain validation, log-gamma and quadrature tolerances shared by every other module.
 
 All gamma-function ratios used elsewhere go through ``log_gamma`` so that
-small shape parameters cannot overflow Gamma(1/beta). Where a difference
-of two log-gammas would cancel, past an argument of 100 in
-``fading.unit_power`` and the ergodic Gamma weight, Stirling's formula
-plus ``stirling_remainder`` takes its place. ``log_gamma`` is
+small shape parameters cannot overflow Gamma(1/beta). ``fading.unit_power``
+and the ergodic Gamma weight, where a difference of two log-gammas would
+cancel at large mu, write ln Gamma as Stirling's formula plus
+``stirling_remainder``, the one place that switches to Stirling's series
+(past 100). ``log_gamma`` is
 ``math.lgamma``, and ``integrate``, a double-exponential trapezoid rule
 over the whole real line, is pure ``math``, so no module of the package
 needs SciPy.
@@ -19,7 +20,7 @@ import numbers
 LN2 = math.log(2.0)
 
 DEFAULT_RTOL = 1e-8  # default relative tolerance of the ergodic and verify quadratures
-ABSOLUTE_TOLERANCE = 1e-12  # their absolute tolerance, in nats for the ergodic rule
+ABSOLUTE_TOLERANCE = 1e-12  # absolute tolerance of ``integrate``; the ergodic rule has none
 MAX_EVALUATIONS = 100_000  # lattice terms per quadrature before QuadratureError
 _HALF_PI = 0.5 * math.pi
 _NEGLIGIBLE = 2.0**-53  # a tail below this fraction of the sum cannot change it

@@ -25,6 +25,7 @@ _GL_ORDER = 20  # Gauss-Legendre nodes per panel
 _PANEL_FACTOR = 2.0  # c: a regular panel spans a step of c in max(d/sqrt(P), (d/scale)**beta)
 _GRADING_RATIO = 0.2  # width ratio of successive panels graded into the cusp
 _GRADED_PANELS = 13  # innermost panel is 0.2**13 ~ 8e-10 of the first regular one
+_MAX_REGULAR_EDGES = 2**24  # _panel_edges refuses more; beta = 1, P = 1e-12 needs 8.4 million
 _BLOCK_ELEMENTS = 2**18  # array elements evaluated at once
 _FIRST_GRID_POINTS = 2001  # ceiling of output_density's first grid; each retry doubles its steps
 _MAX_GRID_POINTS = 20_000  # output_density stops doubling its grid once it reaches this size
@@ -111,6 +112,11 @@ def gg_density_grid(law):
     d = ((a + half)[:, None] + half[:, None] * nodes).ravel()
     w = (half[:, None] * weights).ravel()
     points = np.concatenate([law.mean - d[::-1], law.mean + d])
+    if not np.all(np.diff(points) > 0):
+        raise DomainError(
+            "mean=%r is too large for the density grid: its innermost nodes, %.2g from the mean, round together"
+            % (law.mean, d[0])
+        )
     return DensityGrid(points, _gg.pdf(law, points), _GG_TRUNCATION, np.concatenate([w[::-1], w]))
 
 
@@ -137,8 +143,9 @@ def _panel_edges(law, power, radius):
     max(d / sqrt(P), (d / scale)**beta): d_m = min(c * m * sqrt(P),
     scale * (c * m)**(1 / beta)) for every beta, out to the first d_m at or
     past ``radius``: about radius / (c * sqrt(P)) of them, 8.4 million at
-    beta = 1, P = 1e-12. A panel is at most c * sqrt(P) wide and spans at most c of
-    the noise exponent, so it is at most c * min(sqrt(P), l_N(d)) wide,
+    beta = 1, P = 1e-12; past ``_MAX_REGULAR_EDGES`` it raises DomainError
+    before any array is built. A panel is at most c * sqrt(P) wide and spans
+    at most c of the noise exponent, so it is at most c * min(sqrt(P), l_N(d)) wide,
     l_N(d) = scale * z**(1 - beta) / beta (z = d/scale), save up to a factor
     max(beta, 1/beta) between the value and slope crossings of the two
     terms. The first regular panel [0, d_1] is replaced by panels graded by
@@ -153,8 +160,12 @@ def _panel_edges(law, power, radius):
             % ((law.beta,) + _BETA_RANGE)
         )
     root = math.sqrt(power)
-    stretch = max(radius / root, (radius / law.scale) ** law.beta)
-    t = _PANEL_FACTOR * np.arange(1, math.ceil(stretch / _PANEL_FACTOR) + 1)
+    count = max(radius / root, (radius / law.scale) ** law.beta) / _PANEL_FACTOR
+    if count > _MAX_REGULAR_EDGES:
+        raise DomainError(
+            "signal power P=%r needs %.3g panel edges, more than the %d allowed" % (power, count, _MAX_REGULAR_EDGES)
+        )
+    t = _PANEL_FACTOR * np.arange(1, math.ceil(count) + 1)
     regular = np.minimum(t * root, law.scale * t ** (1.0 / law.beta))
     graded = regular[0] * _GRADING_RATIO ** np.arange(_GRADED_PANELS, 0, -1.0)
     return np.concatenate([[0.0], graded, regular])

@@ -276,6 +276,32 @@ ORACLE_LAWS = [
 ]
 
 
+@mpmath.workdps(30)
+def knee_ergodic_nats(snr, law):
+    """E_h{0.5 * ln(1 + snr * h**2)} in v = ln(G / mu), G ~ Gamma(mu, 1), split at the softplus knee.
+
+    With a = 2/alpha and ln c = ln snr + 2 ln h_root the integrand is
+    0.5 * softplus(a*v + ln c) * e**(mu * (v - expm1(v))) times the Gamma weight
+    mu**mu e**-mu / Gamma(mu). A tiny value puts the knee v* = -ln c / a far
+    out in the tail of that weight, where the integrand is a narrow spike at
+    the knee; breakpoints at v* and at offsets 0.002 * 2**k ... 3 on both sides
+    pin it for tanh-sinh, and the ends v* - 60 and v* + 8 cut off nothing.
+    """
+    a, m = 2 / mpmath.mpf(law.alpha), mpmath.mpf(law.mu)
+    log_c = mpmath.log(snr) + 2 * mpmath.log(law.h_root)
+    log_weight = m * mpmath.log(m) - m - mpmath.loggamma(m)
+
+    def integrand(v):
+        z = a * v + log_c
+        softplus = z + mpmath.log1p(mpmath.exp(-z)) if z > 0 else mpmath.log1p(mpmath.exp(z))
+        return softplus / 2 * mpmath.exp(log_weight + m * (v - mpmath.expm1(v)))
+
+    knee = -log_c / a
+    offsets = [0.002 * 2**k for k in range(11)] + [3]
+    points = sorted([knee - 60, knee, knee + 8] + [knee + s * d for d in offsets for s in (-1, 1)])
+    return float(mpmath.quad(integrand, points, method="tanh-sinh", maxdegree=10))
+
+
 class TestErgodicOracle:
     """ergodic_awgn_capacity against an mpmath oracle that shares none of its code."""
 
@@ -289,6 +315,13 @@ class TestErgodicOracle:
         law = fading.AlphaMuFading(alpha, mu, h_root)
         expected = exact_ergodic_bits(snr, law)
         assert abs(capacity.ergodic_awgn_capacity(snr, law) - expected) <= 1e-8 * expected
+
+    @pytest.mark.parametrize("alpha,mu,snr", [(0.0067, 1.0, 1.0), (0.02, 0.005, 1e-12)])
+    def test_tiny_values_keep_relative_accuracy(self, alpha, mu, snr):
+        # 8.5e-49 and 3.4e-24 nats: far below any absolute floor, so only the relative test stops the rule
+        law = fading.unit_power(alpha, mu)
+        expected = knee_ergodic_nats(snr, law)
+        assert capacity.ergodic_awgn_capacity(snr, law, units="nats") == pytest.approx(expected, rel=1e-8, abs=0.0)
 
 
 class TestErgodicBounds:

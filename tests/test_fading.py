@@ -1,4 +1,5 @@
 import math
+import sys
 
 import mpmath
 import numpy as np
@@ -75,7 +76,7 @@ class TestSpecialCases:
 
 
     def test_unit_power_infinite_exponent_is_rejected(self):
-        # 2/alpha overflows, and the large-mu branch forms inf - inf
+        # 2/alpha overflows, and the Stirling formula forms inf - inf
         with pytest.raises(DomainError, match="^alpha=5e-324 with mu=1000.0"):
             fading.unit_power(5e-324, 1e3)
 
@@ -97,4 +98,19 @@ class TestUnitPower:
                 m, r = mpmath.mpf(mu), 2 / mpmath.mpf(alpha)
                 exact = mpmath.exp((r * mpmath.log(m) + mpmath.loggamma(m) - mpmath.loggamma(m + r)) / 2)
                 assert abs(fading.unit_power(alpha, mu).h_root / exact - 1) <= 1e-13, mu
+
+    @pytest.mark.parametrize("alpha", [0.0067, 0.05, 0.5, 2.0, 5.0, 20.0, 300.0])
+    def test_h_root_below_mu_100(self, alpha):
+        # the Stirling-plus-J formula serves small mu too, where J is log_gamma minus Stirling's bracket
+        for k in range(-30, 21):
+            mu = 10.0 ** (k / 10.0)
+            with mpmath.workdps(60):
+                m, r = mpmath.mpf(mu), 2 / mpmath.mpf(alpha)
+                ln_exact = (r * mpmath.log(m) + mpmath.loggamma(m) - mpmath.loggamma(m + r)) / 2
+            if ln_exact < math.log(sys.float_info.min):  # h_root underflows: at least 28 below the floor here
+                with pytest.raises(DomainError, match="underflows"):
+                    fading.unit_power(alpha, mu)
+                continue
+            ln_h_root = math.log(fading.unit_power(alpha, mu).h_root)
+            assert abs(ln_h_root - ln_exact) <= 1e-13 * max(1.0, abs(ln_exact)), mu
 

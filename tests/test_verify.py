@@ -322,6 +322,13 @@ class TestGaussianInputMI:
         with pytest.raises(QuadratureError):
             verify.gaussian_input_mi(config)
 
+    @pytest.mark.parametrize("power", [1e-16, 1e-300])
+    def test_panel_edge_cap(self, power):
+        # about 8.4e8 and 8.4e150 regular edges: refused before any array is built
+        config = capacity.ChannelConfig(power, gg.with_variance(1.0, 1.0))
+        with pytest.raises(DomainError, match=r"^signal power P=%r needs \S+ panel edges, more than the 16777216" % power):
+            verify.gaussian_input_mi(config)
+
     def test_vanishing_power(self):
         # small-P expansion: I = P * J(N) / 2 + O(P^2) nats, and the
         # Fisher information of a unit-variance Laplace density is 2
@@ -346,14 +353,21 @@ class TestGaussianInputMI:
 class TestNonzeroMean:
     """Shifting the noise moves the grids with it: neither entropy moves."""
 
-    @pytest.mark.parametrize("mean", [3.7, -1e3])
+    @pytest.mark.parametrize("mean", [3.7, -1e3, 1e4])
     @pytest.mark.parametrize("beta", [0.5, 1.0, 2.0, 20.0])
     def test_entropies_ignore_the_mean(self, beta, mean):
+        # grid_entropy raises unless the grid has landed
         centred, shifted = gg.with_variance(beta, 1.0), gg.with_variance(beta, 1.0, mean)
         entropies = [verify.grid_entropy(verify.gg_density_grid(law)) for law in (centred, shifted)]
         assert abs(entropies[1] - entropies[0]) <= 1e-12
         mis = [verify.gaussian_input_mi(capacity.ChannelConfig(1.0, law)) for law in (centred, shifted)]
         assert abs(mis[1] - mis[0]) <= 1e-12
+
+    @pytest.mark.parametrize("mean", [1e5, -1e6])
+    def test_large_mean_names_the_cause(self, mean):
+        # mean +- d rounds the innermost Gauss-Legendre nodes, about 4e-12 from the mean, together
+        with pytest.raises(DomainError, match="^mean=%r is too large .* innermost nodes, .* round together$" % mean):
+            verify.gg_density_grid(gg.with_variance(1.0, 1.0, mean))
 
     @pytest.mark.parametrize("mean", [1e3, -1e3])
     def test_window_rounding_past_the_last_edge(self, mean):
