@@ -26,6 +26,7 @@ from .numerics import (
     real,
     stirling_remainder,
     to_units,
+    tolerance,
 )
 
 
@@ -164,7 +165,7 @@ def ergodic_awgn_capacity(snr_avg, fading, rtol=DEFAULT_RTOL, units="bits"):
     in nats.
     """
     rho = real("snr_avg", snr_avg, 0.0, strict=False)
-    rtol = real("rtol", rtol, 0.0)
+    rtol = tolerance("rtol", rtol)
     if rho == 0:
         return 0.0
     mu, a = fading.mu, 2.0 / fading.alpha

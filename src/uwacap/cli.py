@@ -33,7 +33,7 @@ from .secrecy import (
 )
 
 
-_MAX_ROWS = 10**7  # the most range values, draws or sampling chunks one command may build
+_MAX_ROWS = 10**7  # the most range values or draws one command may build
 
 
 class UsageError(Exception):
@@ -76,8 +76,6 @@ def _parse_range(text):
         raise UsageError("range must be 'lo:hi:step' or a single number, got %r" % text)
     if step == 0 or not all(map(math.isfinite, (lo, hi, step))):
         raise UsageError("range step must be finite and nonzero")
-    if (hi - lo) * step < 0:
-        lo, hi = hi, lo
     lo, hi, step = min(lo, hi), max(lo, hi), abs(step)
     _capped("range size", (hi - lo) / step + 1.0)  # before anything is built; inf too
     count = int(math.floor((hi - lo) / step + 1e-9)) + 1
@@ -162,7 +160,7 @@ def cmd_sample(args, config):
     count = _capped("--count", args.count)
     with warnings.catch_warnings():  # process-wide, so it also quiets the worker threads
         warnings.simplefilter("ignore", RuntimeWarning)
-        draws = module.sample(law, config.seed, count, chunks=config.chunks, threads=config.threads)
+        draws = module.sample(law, config.seed, count, threads=config.threads)
     if not np.isfinite(draws).all():
         raise UsageError("draws of %r lie beyond the float range" % (law,))
     lines = ["value"] + [_fmt(v) for v in draws]
@@ -192,8 +190,7 @@ def build_parser():
     parser = _Parser(prog="uwacap", description=__doc__)
     parser.add_argument("--seed", type=int, default=0, help="RNG seed (default 0)")
     parser.add_argument("--samples", type=int, default=100_000, help="Monte-Carlo sample count")
-    parser.add_argument("--chunks", type=int, default=8, help="sampling chunks (affects output)")
-    parser.add_argument("--threads", type=int, default=1, help="worker threads (never affects output)")
+    parser.add_argument("--threads", type=int, default=1, help="worker threads, used up to 8 (never affects output)")
     parser.add_argument("--units", choices=("bits", "nats"), default="bits")
     parser.add_argument("--out", default="stdout", help="output path or 'stdout'")
     parser.add_argument(
@@ -252,7 +249,6 @@ def main(argv=None):
         config = SimConfig(
             seed=args.seed,
             samples=_capped("--samples", args.samples),
-            chunks=_capped("--chunks", args.chunks),
             quad_rtol=args.quad_rtol,
             threads=args.threads,
         )

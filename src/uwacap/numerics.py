@@ -68,6 +68,14 @@ def integer(name, value, lower):
     raise DomainError("%s must be an integer >= %d, got %r" % (name, lower, value))
 
 
+def tolerance(name, value):
+    """``float(value)`` for a relative tolerance, a finite real in (0, 1); anything else raises DomainError."""
+    x = real(name, value, 0.0)
+    if x < 1.0:
+        return x
+    raise DomainError("%s must be a finite real in (0, 1), got %r" % (name, value))
+
+
 def log_gamma(x):
     """ln Gamma(x) for a finite real x > 0, by ``math.lgamma``.
 
@@ -179,7 +187,7 @@ def integrate(f, rtol=DEFAULT_RTOL):
     values of f each) it raises QuadratureError carrying the last estimate
     and indicator.
     """
-    rtol = real("rtol", rtol, 0.0)
+    rtol = tolerance("rtol", rtol)
 
     def term(t):
         """The transformed integrand at t; None once its nodes have left the floats."""

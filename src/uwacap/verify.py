@@ -32,7 +32,7 @@ _MAX_GRID_POINTS = 20_000  # output_density stops doubling its grid once it reac
 _GG_TRUNCATION = 1e-8  # tail mass gg_density_grid leaves outside its grid
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)  # == and hash by identity: array fields have no truth value
 class DensityGrid:
     """A density tabulated on strictly increasing abscissae, with quadrature weights.
 
@@ -124,7 +124,7 @@ def mc_entropy(law, config):
     """Resubstitution entropy estimate -(1/n) sum log pdf(N_i) with its standard error."""
     if config.samples < 1_000:
         raise DomainError("mc_entropy needs at least 1000 samples")
-    draws = _gg.sample(law, config.seed, config.samples, chunks=config.chunks, threads=config.threads)
+    draws = _gg.sample(law, config.seed, config.samples, threads=config.threads)
     log_p = _gg.log_pdf(law, draws)
     estimate = -float(np.mean(log_p))
     std_error = float(np.std(log_p, ddof=1)) / math.sqrt(config.samples)

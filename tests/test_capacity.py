@@ -221,6 +221,12 @@ class TestErgodicCapacity:
             with pytest.raises(DomainError):
                 capacity.ergodic_awgn_capacity(bad, fading.AlphaMuFading(2.0, 1.0))
 
+    def test_rtol_domain(self):
+        # a tolerance of 1 or more would stop the rule on digits it never resolved
+        for bad in (0.0, -1e-8, math.nan, "1e-8", 1.0, 1e300):
+            with pytest.raises(DomainError, match="^rtol must be a finite real"):
+                capacity.ergodic_awgn_capacity(1.0, fading.unit_power(2.0, 1.0), bad)
+
     def test_evaluation_cap_raises_with_estimate(self, monkeypatch):
         # 60 evaluations finish two lattices of Rayleigh at SNR 1 but not the third
         monkeypatch.setattr(capacity, "MAX_EVALUATIONS", 60)

@@ -5,7 +5,7 @@ import warnings
 import numpy as np
 import pytest
 
-from uwacap import capacity, cli, gg_noise, verify
+from uwacap import capacity, cli, fading, gg_noise, verify
 from uwacap.cli import main
 
 
@@ -97,9 +97,11 @@ class TestCapacityCommand:
             assert width == pytest.approx(capacity.gap(1.0, "bits"), abs=1e-7)
 
     def test_descending_range_normalized(self, capsys):
-        _, out, _ = run_cli(capsys, "capacity", "--beta", "2", "--snr-db", "10:0:-5")
-        _, rows = parse_csv(out)
-        assert [float(r[0]) for r in rows] == [0.0, 5.0, 10.0]
+        # either end may come first, and the sign of the step does not matter
+        for snr_db in ("10:0:-5", "10:0:5", "0:10:-5"):
+            _, out, _ = run_cli(capsys, "capacity", "--beta", "2", "--snr-db", snr_db)
+            _, rows = parse_csv(out)
+            assert [float(r[0]) for r in rows] == [0.0, 5.0, 10.0]
 
     def test_bad_range(self, capsys):
         code, _, _ = run_cli(capsys, "capacity", "--beta", "2", "--snr-db", "0:10")
@@ -226,12 +228,30 @@ class TestSampleCommand:
         code, _, _ = run_cli(capsys, "sample", "--law", "gg", "--beta", "-1")
         assert code == 1
 
-    @pytest.mark.parametrize("flags", [["--seed", "-1"], ["--threads", "0"], ["--chunks", "0"]])
+    # --chunks is no flag: every CLI draw uses the samplers' plan of 8 chunks
+    @pytest.mark.parametrize("flags", [["--seed", "-1"], ["--threads", "0"], ["--chunks", "8"]])
     def test_bad_global_flags(self, capsys, flags):
         code, out, err = run_cli(capsys, *flags, "sample", "--law", "gg", "--count", "10")
         assert code == 1
         assert out == ""
         assert err.startswith("usage error")
+        assert err.count("\n") == 1
+
+    @pytest.mark.parametrize("threads", ["1", "2"])
+    @pytest.mark.parametrize(
+        "argv,module,law",
+        [
+            (["gg", "--beta", "0.8", "--scale", "2.5", "--mean", "-1.5"], gg_noise, gg_noise.GGNoise(0.8, 2.5, -1.5)),
+            (["alpha-mu", "--alpha", "2.5", "--mu", "1.5", "--h-root", "0.7"], fading, fading.AlphaMuFading(2.5, 1.5, 0.7)),
+        ],
+        ids=["gg", "alpha-mu"],
+    )
+    def test_draws_are_the_eight_chunk_library_draws(self, capsys, threads, argv, module, law):
+        # sample's last digits follow numpy's version, so the golden files leave it out; this pins the plan
+        code, out, _ = run_cli(capsys, "--seed", "7", "--threads", threads, "sample", "--law", *argv, "--count", "3000")
+        assert code == 0
+        expected = ["%.9g" % v for v in module.sample(law, 7, 3000, chunks=8, threads=1)]
+        assert out.splitlines() == ["value"] + expected
 
     @pytest.mark.parametrize("threads", ["1", "2"])
     @pytest.mark.parametrize(
@@ -331,7 +351,6 @@ class TestRowCap:
         "argv",
         [
             ["--samples", "100", "sample", "--law", "gg", "--count", "101"],
-            ["--samples", "100", "--chunks", "101", "sample", "--law", "gg", "--count", "10"],
             ["--samples", "101", "verify", "--quick"],
         ],
     )
@@ -339,6 +358,22 @@ class TestRowCap:
         code, out, err = run_cli(capsys, *argv)
         assert (code, out) == (1, "")
         assert "must not exceed 100" in err
+
+
+class TestQuadRtol:
+    """--quad-rtol must lie in (0, 1): a tolerance of 1 or more would print digits the rule never resolved."""
+
+    @pytest.mark.parametrize("rtol", ["1", "1e300"])
+    def test_one_or_more_is_a_usage_error(self, capsys, rtol):
+        code, out, err = run_cli(capsys, "--quad-rtol", rtol, "ergodic", "--alpha", "2", "--snr-db", "0:10:5")
+        assert (code, out) == (1, "")
+        assert err.startswith("usage error: quad_rtol must be a finite real in (0, 1)")
+        assert err.count("\n") == 1
+
+    def test_below_one_prints_rows(self, capsys):
+        code, out, _ = run_cli(capsys, "--quad-rtol", "0.5", "ergodic", "--alpha", "2", "--snr-db", "0:10:5")
+        assert code == 0
+        assert len(parse_csv(out)[1]) == 3
 
 
 class TestOutputFile:

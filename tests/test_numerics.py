@@ -176,7 +176,7 @@ class TestIntegrate:
         assert 0.0 < excinfo.value.error_indicator < 1.0
 
     def test_bad_domain(self):
-        for rtol in (0.0, -1e-8, math.nan, "1e-8"):
+        for rtol in (0.0, -1e-8, math.nan, "1e-8", 1.0):
             with pytest.raises(DomainError, match="^rtol"):
                 integrate(math.exp, rtol)
 
