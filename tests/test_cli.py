@@ -335,6 +335,7 @@ class TestRowCap:
             raise AssertionError("sampler called past the row cap")
 
         monkeypatch.setattr(gg_noise, "sample", refuse)
+        monkeypatch.setattr(fading, "sample", refuse)
 
     def test_range_at_cap(self, capsys):
         code, out, _ = run_cli(capsys, "--samples", "100", "capacity", "--beta", "2", "--snr-db=0:99:1")
@@ -351,6 +352,7 @@ class TestRowCap:
         "argv",
         [
             ["--samples", "100", "sample", "--law", "gg", "--count", "101"],
+            ["--samples", "100", "sample", "--law", "alpha-mu", "--count", "101"],
             ["--samples", "101", "verify", "--quick"],
         ],
     )
