@@ -5,7 +5,6 @@ from .capacity import (
     ChannelConfig,
     awgn_capacity,
     awggn_bounds,
-    conditional_bounds,
     ergodic_awgn_capacity,
     ergodic_bounds,
     gap,
@@ -33,7 +32,6 @@ __all__ = [
     "SimConfig",
     "awgn_capacity",
     "awggn_bounds",
-    "conditional_bounds",
     "ergodic_awgn_capacity",
     "ergodic_bounds",
     "gap",

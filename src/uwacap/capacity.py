@@ -80,17 +80,14 @@ def awgn_capacity(snr, units="bits"):
 
 @dataclass(frozen=True)
 class CapacityBounds:
-    """A (lower, upper) rate pair; upper - lower is the generating law's gap."""
+    """A (lower, upper) rate pair in the producer's units; upper - lower is the generating law's gap."""
 
     lower: float
     upper: float
-    units: str = "bits"
 
     def __post_init__(self):
         if not self.lower <= self.upper:
             raise DomainError("CapacityBounds requires lower <= upper")
-        if self.units not in ("bits", "nats"):
-            raise DomainError("units must be 'bits' or 'nats'")
 
     @property
     def width(self):
@@ -115,14 +112,7 @@ class ChannelConfig:
 def awggn_bounds(config, units="bits"):
     """Capacity sandwich at SNR = P / noise variance."""
     lower = awgn_capacity(config.snr, units)
-    return CapacityBounds(lower, lower + gap(config.noise.beta, units), units)
-
-
-def conditional_bounds(config, h, units="bits"):
-    """Sandwich conditioned on a fading gain h: P is replaced by P*h**2."""
-    h = real("channel gain h", h, 0.0, strict=False)
-    lower = awgn_capacity(config.snr * h * h, units)
-    return CapacityBounds(lower, lower + gap(config.noise.beta, units), units)
+    return CapacityBounds(lower, lower + gap(config.noise.beta, units))
 
 
 def _softplus_slope(z):
@@ -215,4 +205,4 @@ def ergodic_awgn_capacity(snr_avg, fading, rtol=DEFAULT_RTOL, units="bits"):
 def ergodic_bounds(snr_avg, fading, beta, rtol=DEFAULT_RTOL, units="bits"):
     """Ergodic sandwich: the gap is constant in h, so it commutes with E_h."""
     lower = ergodic_awgn_capacity(snr_avg, fading, rtol, units)
-    return CapacityBounds(lower, lower + gap(beta, units), units)
+    return CapacityBounds(lower, lower + gap(beta, units))

@@ -56,10 +56,14 @@ def _fmt(x):
 
 
 def _db_to_linear(db):
+    if math.isnan(db):
+        raise UsageError("%s dB is not a number" % _fmt(db))
     try:
-        return 10.0 ** (db / 10.0)
+        if db < math.inf:
+            return 10.0 ** (db / 10.0)
     except OverflowError:
-        raise UsageError("%s dB is past the float range as a linear SNR" % _fmt(db))
+        pass
+    raise UsageError("%s dB is past the float range as a linear SNR" % _fmt(db))
 
 
 def _parse_range(text):
@@ -74,8 +78,10 @@ def _parse_range(text):
             raise ValueError
     except ValueError:
         raise UsageError("range must be 'lo:hi:step' or a single number, got %r" % text)
-    if step == 0 or not all(map(math.isfinite, (lo, hi, step))):
-        raise UsageError("range step must be finite and nonzero")
+    if not all(map(math.isfinite, (lo, hi, step))):
+        raise UsageError("range values must be finite, got %r" % text)
+    if step == 0:
+        raise UsageError("range step must be nonzero")
     lo, hi, step = min(lo, hi), max(lo, hi), abs(step)
     _capped("range size", (hi - lo) / step + 1.0)  # before anything is built; inf too
     count = int(math.floor((hi - lo) / step + 1e-9)) + 1
@@ -186,8 +192,8 @@ def cmd_verify(args, config):
     return 3 if failures else 0
 
 
-def build_parser():
-    parser = _Parser(prog="uwacap", description=__doc__)
+def _global_flags():
+    parser = _Parser(add_help=False)
     parser.add_argument("--seed", type=int, default=0, help="RNG seed (default 0)")
     parser.add_argument("--samples", type=int, default=100_000, help="Monte-Carlo sample count")
     parser.add_argument("--threads", type=int, default=1, help="worker threads, used up to 8 (never affects output)")
@@ -196,7 +202,11 @@ def build_parser():
     parser.add_argument(
         "--quad-rtol", type=float, default=DEFAULT_RTOL, help="relative tolerance of the ergodic rule and verify's pdf_mass"
     )
+    return parser
 
+
+def build_parser():
+    parser = _Parser(prog="uwacap", description=__doc__, parents=[_global_flags()])
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("gap", help="capacity gap f(beta) per shape value")
@@ -242,10 +252,23 @@ def build_parser():
     return parser
 
 
-def main(argv=None):
-    parser = build_parser()
+def _parse(argv):
+    """Parse argv; an unknown option before the subcommand is named, not its value."""
     try:
-        args = parser.parse_args(argv)
+        return build_parser().parse_args(argv)
+    except UsageError as exc:
+        try:
+            extras = _global_flags().parse_known_args(argv)[1]
+        except UsageError:
+            raise exc
+        if extras and extras[0].startswith("-"):
+            raise UsageError("unrecognized option: %s" % extras[0].split("=")[0])
+        raise
+
+
+def main(argv=None):
+    try:
+        args = _parse(argv)
         config = SimConfig(
             seed=args.seed,
             samples=_capped("--samples", args.samples),

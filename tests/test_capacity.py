@@ -147,29 +147,6 @@ class TestAwggnBounds:
                 assert abs(bounds.width - capacity.gap(beta, "bits")) <= 1e-12
 
 
-class TestConditionalBounds:
-    def test_zero_gain(self):
-        config = capacity.ChannelConfig(1.0, gg.with_variance(1.0, 1.0))
-        bounds = capacity.conditional_bounds(config, 0.0)
-        assert bounds.lower == 0.0
-        assert bounds.upper == pytest.approx(capacity.gap(1.0, "bits"), rel=1e-12)
-
-    def test_identity_gain(self):
-        config = capacity.ChannelConfig(2.0, gg.with_variance(1.5, 1.0))
-        assert capacity.conditional_bounds(config, 1.0) == capacity.awggn_bounds(config)
-
-    def test_gain_scales_power(self):
-        config = capacity.ChannelConfig(1.0, gg.with_variance(2.0, 1.0))
-        bounds = capacity.conditional_bounds(config, math.sqrt(3.0))
-        assert bounds.lower == pytest.approx(1.0, rel=1e-12)
-        assert bounds.upper == pytest.approx(1.0, rel=1e-12)
-
-    def test_negative_gain(self):
-        config = capacity.ChannelConfig(1.0, gg.with_variance(2.0, 1.0))
-        with pytest.raises(DomainError):
-            capacity.conditional_bounds(config, -1.0)
-
-
 class TestErgodicCapacity:
     def test_zero_snr(self):
         assert capacity.ergodic_awgn_capacity(0.0, fading.AlphaMuFading(2.0, 1.0)) == 0.0

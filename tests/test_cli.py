@@ -1,4 +1,3 @@
-import dataclasses
 import math
 import warnings
 
@@ -236,6 +235,20 @@ class TestSampleCommand:
         assert out == ""
         assert err.startswith("usage error")
         assert err.count("\n") == 1
+        assert flags[0].lstrip("-") in err
+
+    @pytest.mark.parametrize("command", [["gap", "1"], ["sample", "--law", "gg", "--count", "10"]], ids=["gap", "sample"])
+    @pytest.mark.parametrize("flags", [["--bogus", "8"], ["--chunks", "8"], ["--chunks=8"], ["-x", "8"]])
+    def test_unknown_global_flag_is_named(self, capsys, flags, command):
+        # the value after an unknown flag must not be reported as the subcommand
+        code, out, err = run_cli(capsys, *flags, *command)
+        assert (code, out) == (1, "")
+        assert err == "usage error: unrecognized option: %s\n" % flags[0].split("=")[0]
+
+    def test_global_flag_prefixes_still_parse(self, capsys):
+        args = ["sample", "--law", "gg", "--count", "10"]
+        assert run_cli(capsys, "--se", "5", *args) == run_cli(capsys, "--seed", "5", *args)
+        assert run_cli(capsys, "--samp", "2000", "gap", "1")[0] == 0
 
     @pytest.mark.parametrize("threads", ["1", "2"])
     @pytest.mark.parametrize(
@@ -290,7 +303,7 @@ class TestVerifyCommand:
 
         def too_heavy(law):
             grid = landed(law)
-            return dataclasses.replace(grid, values=1.005 * grid.values)
+            return verify.DensityGrid(grid.points, 1.005 * grid.values, grid.truncation_mass, grid.weights)
 
         monkeypatch.setattr(verify, "gg_density_grid", too_heavy)
         code, out, err = run_cli(capsys, "--samples", "2000", "verify", "--quick")
@@ -302,21 +315,47 @@ class TestVerifyCommand:
 
 
 class TestDecibelOverflow:
-    """An SNR past the float range in linear terms is a one-line usage error."""
+    """An SNR past the float range in linear terms, or not a number, is a one-line usage error."""
 
-    @pytest.mark.parametrize(
-        "argv",
-        [
-            ["capacity", "--beta", "1", "--snr-db", "4000"],
-            ["ergodic", "--alpha", "2", "--snr-db", "4000"],
-            ["secrecy", "--beta-sd", "1", "--beta-se", "2", "--snr-se-db", "4000", "--snr-sd-db", "0"],
-            ["secrecy", "--beta-sd", "1", "--beta-se", "2", "--snr-se-db", "0", "--snr-sd-db", "4000"],
-        ],
-    )
+    # every dB input; "{}" is the value under test
+    DB_ARGVS = [
+        ["capacity", "--beta", "1", "--snr-db", "{}"],
+        ["ergodic", "--alpha", "2", "--snr-db", "{}"],
+        ["secrecy", "--beta-sd", "1", "--beta-se", "2", "--snr-se-db", "{}", "--snr-sd-db", "0"],
+        ["secrecy", "--beta-sd", "1", "--beta-se", "2", "--snr-se-db", "0", "--snr-sd-db", "{}"],
+    ]
+
+    @pytest.mark.parametrize("argv", DB_ARGVS)
     def test_db_over_float_range(self, capsys, argv):
-        code, out, err = run_cli(capsys, *argv)
+        code, out, err = run_cli(capsys, *(a.format("4000") for a in argv))
         assert (code, out) == (1, "")
         assert err == "usage error: 4000 dB is past the float range as a linear SNR\n"
+
+    @pytest.mark.parametrize(
+        "value,message",
+        [("nan", "nan dB is not a number"), ("inf", "inf dB is past the float range as a linear SNR")],
+        ids=["nan", "inf"],
+    )
+    @pytest.mark.parametrize("argv", DB_ARGVS)
+    def test_db_not_finite_names_the_value(self, capsys, argv, value, message):
+        # not "signal_power must be ..." or "snr_se must be ...": the message names what was typed
+        code, out, err = run_cli(capsys, *(a.format(value) for a in argv))
+        assert (code, out) == (1, "")
+        assert err == "usage error: %s\n" % message
+
+    @pytest.mark.parametrize("snr_db", ["-inf:0:1", "0:nan:1", "0:1:inf"])
+    def test_range_values_not_finite(self, capsys, snr_db):
+        code, out, err = run_cli(capsys, "capacity", "--beta", "1", "--snr-db=" + snr_db)
+        assert (code, out) == (1, "")
+        assert err == "usage error: range values must be finite, got %r\n" % snr_db
+
+    def test_range_step_zero(self, capsys):
+        code, out, err = run_cli(capsys, "capacity", "--beta", "1", "--snr-db=0:1:0")
+        assert (code, out, err) == (1, "", "usage error: range step must be nonzero\n")
+
+    def test_minus_inf_db_is_zero_snr(self, capsys):
+        code, out, _ = run_cli(capsys, "capacity", "--beta", "2", "--snr-db=-inf")
+        assert (code, parse_csv(out)[1]) == (0, [["-inf", "0", "0"]])
 
     def test_db_inside_float_range_prints_row(self, capsys):
         code, out, _ = run_cli(capsys, "capacity", "--beta", "1", "--snr-db", "3080")

@@ -110,7 +110,7 @@ class TestGGDensityGrid:
         # nats against the exact 1.34657
         law = gg.with_variance(1.0, 1.0)
         landed = verify.gg_density_grid(law)
-        grid = dataclasses.replace(landed, values=1.005 * landed.values)
+        grid = verify.DensityGrid(landed.points, 1.005 * landed.values, landed.truncation_mass, landed.weights)
         assert grid.mass == pytest.approx(1.005, abs=1e-7)
         with pytest.raises(QuadratureError) as info:
             verify.grid_entropy(grid)
