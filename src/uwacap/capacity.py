@@ -11,16 +11,14 @@ conditional capacity over an alpha-mu fading gain, by a trapezoid rule in
 ln G (G = mu * (h / h_root)**alpha ~ Gamma(mu, 1)) that needs only ``math``.
 """
 
-from __future__ import annotations
-
 import math
-from dataclasses import dataclass
 
 from . import gg_noise as _gg
 from .numerics import (
     DEFAULT_RTOL,
     MAX_EVALUATIONS,
     DomainError,
+    Record,
     halving_trapezoid,
     log_gamma,
     real,
@@ -78,31 +76,31 @@ def awgn_capacity(snr, units="bits"):
     return to_units(0.5 * math.log1p(real("snr", snr, 0.0, strict=False)), units)
 
 
-@dataclass(frozen=True)
-class CapacityBounds:
+class CapacityBounds(Record):
     """A (lower, upper) rate pair in the producer's units; upper - lower is the generating law's gap."""
 
-    lower: float
-    upper: float
+    _fields = ("lower", "upper")
 
-    def __post_init__(self):
-        if not self.lower <= self.upper:
+    def __init__(self, lower, upper):
+        if not lower <= upper:
             raise DomainError("CapacityBounds requires lower <= upper")
+        self._set("lower", lower)
+        self._set("upper", upper)
 
     @property
     def width(self):
         return self.upper - self.lower
 
 
-@dataclass(frozen=True)
-class ChannelConfig:
+class ChannelConfig(Record):
     """Signal power P together with the additive GG noise law."""
 
-    signal_power: float
-    noise: _gg.GGNoise
+    _fields = ("signal_power", "noise")
 
-    def __post_init__(self):
-        real("signal_power", self.signal_power, 0.0, strict=False)
+    def __init__(self, signal_power, noise):
+        real("signal_power", signal_power, 0.0, strict=False)
+        self._set("signal_power", signal_power)
+        self._set("noise", noise)
 
     @property
     def snr(self):

@@ -8,8 +8,6 @@ Exit codes: 0 success, 1 usage error, 2 numeric non-convergence,
 3 verification failure.
 """
 
-from __future__ import annotations
-
 import argparse
 import math
 import sys

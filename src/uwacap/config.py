@@ -1,27 +1,24 @@
 """Run configuration for the stochastic and numeric estimators."""
 
-from __future__ import annotations
-
-from dataclasses import dataclass
-
-from .numerics import DEFAULT_RTOL, DomainError, integer, tolerance
+from .numerics import DEFAULT_RTOL, DomainError, Record, integer, tolerance
 
 
-@dataclass(frozen=True)
-class SimConfig:
+class SimConfig(Record):
     """Seed, sample budget, quadrature tolerance and threads; identical configs give identical output.
 
     Draws use the samplers' default plan of 8 chunks, so more than 8 threads add nothing.
     """
 
-    seed: int = 0
-    samples: int = 100_000
-    quad_rtol: float = DEFAULT_RTOL
-    threads: int = 1
+    _fields = ("seed", "samples", "quad_rtol", "threads")
 
-    def __post_init__(self):
-        for name, lowest in (("seed", 0), ("samples", 1), ("threads", 1)):
-            integer(name, getattr(self, name), lowest)
-        if self.seed >= 2**64:
+    def __init__(self, seed=0, samples=100_000, quad_rtol=DEFAULT_RTOL, threads=1):
+        integer("seed", seed, 0)
+        integer("samples", samples, 1)
+        integer("threads", threads, 1)
+        if seed >= 2**64:
             raise DomainError("seed must be a 64-bit unsigned integer")
-        tolerance("quad_rtol", self.quad_rtol)
+        tolerance("quad_rtol", quad_rtol)
+        self._set("seed", seed)
+        self._set("samples", samples)
+        self._set("quad_rtol", quad_rtol)
+        self._set("threads", threads)

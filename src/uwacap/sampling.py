@@ -4,8 +4,6 @@ Each chunk draws from an independent stream derived from (seed, chunk index),
 so output depends only on (seed, count, chunks) and not on thread count.
 """
 
-from __future__ import annotations
-
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np

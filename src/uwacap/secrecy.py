@@ -5,29 +5,26 @@ capacity-bound expressions; it is a bound-difference figure of merit, not a
 proven secrecy capacity for non-Gaussian wiretap channels.
 """
 
-from __future__ import annotations
-
 import math
-from dataclasses import dataclass
 
 from .capacity import gap
-from .numerics import DomainError, real, to_units
+from .numerics import DomainError, Record, real, to_units
 
 
-@dataclass(frozen=True)
-class SecrecyScenario:
+class SecrecyScenario(Record):
     """Linear SNRs and noise shapes of the destination (SD) and eavesdropper (SE) links."""
 
-    snr_sd: float
-    snr_se: float
-    beta_sd: float
-    beta_se: float
+    _fields = ("snr_sd", "snr_se", "beta_sd", "beta_se")
 
-    def __post_init__(self):
-        real("SecrecyScenario.snr_sd", self.snr_sd, 0.0, strict=False)
-        real("SecrecyScenario.snr_se", self.snr_se, 0.0, strict=False)
-        real("SecrecyScenario.beta_sd", self.beta_sd, 0.0)
-        real("SecrecyScenario.beta_se", self.beta_se, 0.0)
+    def __init__(self, snr_sd, snr_se, beta_sd, beta_se):
+        real("SecrecyScenario.snr_sd", snr_sd, 0.0, strict=False)
+        real("SecrecyScenario.snr_se", snr_se, 0.0, strict=False)
+        real("SecrecyScenario.beta_sd", beta_sd, 0.0)
+        real("SecrecyScenario.beta_se", beta_se, 0.0)
+        self._set("snr_sd", snr_sd)
+        self._set("snr_se", snr_se)
+        self._set("beta_sd", beta_sd)
+        self._set("beta_se", beta_se)
 
 
 def secrecy_rate_awgn(snr_sd, snr_se, units="bits"):
@@ -85,6 +82,7 @@ def secrecy_threshold(beta_sd, beta_se, snr_se):
     A threshold beyond the float range is inf: the rate is then zero at
     every finite snr_sd.
     """
+    beta_sd, beta_se = real("beta_sd", beta_sd, 0.0), real("beta_se", beta_se, 0.0)
     snr_se = real("snr_se", snr_se, 0.0, strict=False)
     shift = 2.0 * (gap(beta_se, "nats") - gap(beta_sd, "nats"))
     try:

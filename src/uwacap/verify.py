@@ -8,8 +8,6 @@ sphere-packing count ratio exp(K * gap(beta)) rests on the entropy
 identity that the ``entropy_gap_identity`` rows check.
 """
 
-from __future__ import annotations
-
 import functools
 import math
 

@@ -203,6 +203,18 @@ class TestSecrecyCommand:
         assert rows_d[0][1] == rows_p[0][1]  # rate column unchanged
         assert rows_d[0][2] != rows_p[0][2]
 
+    @pytest.mark.parametrize("bad", ["-1", "nan"])
+    @pytest.mark.parametrize("shape", ["beta_sd", "beta_se"])
+    def test_bad_shape_names_its_flag(self, capsys, shape, bad):
+        shapes = {"beta_sd": "1", "beta_se": "1", shape: bad}
+        code, out, err = run_cli(
+            capsys, "secrecy", "--beta-sd", shapes["beta_sd"], "--beta-se", shapes["beta_se"],
+            "--snr-se-db", "0", "--snr-sd-db", "0",
+        )
+        assert code == 1
+        assert out == ""
+        assert err == "usage error: %s must be a finite real > 0, got %s\n" % (shape, float(bad))
+
 
 class TestSampleCommand:
     def test_determinism_and_thread_invariance(self, capsys):

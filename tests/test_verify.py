@@ -1,4 +1,3 @@
-import dataclasses
 import math
 
 import mpmath
@@ -398,7 +397,7 @@ class TestNonzeroMean:
         input_radius = gg.tail_radius(gg.GGNoise(2.0, math.sqrt(2.0)), 0.5e-10)
         points = np.linspace(-1.0, 1.0, 101) * (radius + input_radius)
         centred = verify._convolved_values(law, 1.0, points, radius, input_radius)
-        shifted = verify._convolved_values(dataclasses.replace(law, mean=mean), 1.0, mean + points, radius, input_radius)
+        shifted = verify._convolved_values(gg.GGNoise(law.beta, law.scale, mean), 1.0, mean + points, radius, input_radius)
         assert np.max(np.abs(shifted - centred)) <= 1e-12
 
 
