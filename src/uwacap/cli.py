@@ -10,6 +10,7 @@ Exit codes: 0 success, 1 usage error, 2 numeric non-convergence,
 
 import argparse
 import math
+import os
 import sys
 import warnings
 
@@ -32,6 +33,7 @@ from .secrecy import (
 
 
 _MAX_ROWS = 10**7  # the most range values or draws one command may build
+_BLOCK = 1 << 14  # draws that `sample` formats and writes at a time
 
 
 class UsageError(Exception):
@@ -86,14 +88,30 @@ def _parse_range(text):
     return [lo + k * step for k in range(count)]
 
 
-def _emit(lines, out):
-    text = "\n".join(lines) + "\n"
+def _text(lines):
+    return "\n".join(lines) + "\n"
+
+
+def _emit(chunks, out):
+    """Write the text pieces `chunks` in order to stdout or to the file `out`.
+
+    Each piece is written before the next is taken, so a generator of blocks
+    is never held whole. A reader that closes stdout early ends the output
+    quietly: stdout then points at the null device, so the flush at exit
+    cannot fail either, and the command keeps its exit code.
+    """
     if out in (None, "-", "stdout"):
-        sys.stdout.write(text)
+        try:
+            for chunk in chunks:
+                sys.stdout.write(chunk)
+            sys.stdout.flush()
+        except BrokenPipeError:
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
     else:
         try:
             with open(out, "w", newline="") as fh:
-                fh.write(text)
+                for chunk in chunks:
+                    fh.write(chunk)
         except OSError as exc:
             raise UsageError("cannot write %s: %s" % (out, exc.strerror or exc))
 
@@ -105,7 +123,7 @@ def cmd_gap(args, config):
     lines = ["beta,gap_bits,gap_nats"]
     for b in betas:
         lines.append(",".join([_fmt(b), _fmt(gap(b, "bits")), _fmt(gap(b, "nats"))]))
-    _emit(lines, args.out)
+    _emit([_text(lines)], args.out)
     return 0
 
 
@@ -116,7 +134,7 @@ def cmd_capacity(args, config):
         config = ChannelConfig(_db_to_linear(snr_db), noise)
         bounds = awggn_bounds(config, args.units)
         lines.append(",".join([_fmt(snr_db), _fmt(bounds.lower), _fmt(bounds.upper)]))
-    _emit(lines, args.out)
+    _emit([_text(lines)], args.out)
     return 0
 
 
@@ -126,7 +144,7 @@ def cmd_ergodic(args, config):
     for snr_db in _parse_range(args.snr_db):
         bounds = ergodic_bounds(_db_to_linear(snr_db), law, args.beta, config.quad_rtol, args.units)
         lines.append(",".join([_fmt(snr_db), _fmt(bounds.lower), _fmt(bounds.upper)]))
-    _emit(lines, args.out)
+    _emit([_text(lines)], args.out)
     return 0
 
 
@@ -150,7 +168,7 @@ def cmd_secrecy(args, config):
     sys.stderr.write(
         "# secrecy threshold: snr_sd = %s (%s dB)\n" % (_fmt(threshold), _fmt(threshold_db))
     )
-    _emit(lines, args.out)
+    _emit([_text(lines)], args.out)
     return 0
 
 
@@ -167,8 +185,14 @@ def cmd_sample(args, config):
         draws = module.sample(law, config.seed, count, threads=config.threads)
     if not np.isfinite(draws).all():
         raise UsageError("draws of %r lie beyond the float range" % (law,))
-    lines = ["value"] + [_fmt(v) for v in draws]
-    _emit(lines, args.out)
+
+    def blocks():
+        yield "value\n"
+        for start in range(0, count, _BLOCK):
+            block = draws[start:start + _BLOCK].tolist()
+            yield "%.9g\n" * len(block) % tuple(block)
+
+    _emit(blocks(), args.out)
     return 0
 
 
@@ -186,7 +210,7 @@ def cmd_verify(args, config):
             % (width, name, _fmt(measured), _fmt(tolerance), "PASS" if passed else "FAIL")
         )
     lines.append("verify: %d checks, %d failed" % (len(rows), failures))
-    _emit(lines, args.out)
+    _emit([_text(lines)], args.out)
     return 3 if failures else 0
 
 

@@ -1,4 +1,9 @@
 import math
+import os
+import pathlib
+import subprocess
+import sys
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -290,6 +295,65 @@ class TestSampleCommand:
         assert (code, out, caught) == (1, "", [])
         assert err.startswith("usage error: draws of %s(" % name)
         assert err.count("\n") == 1
+
+
+class TestSampleStreaming:
+    """`sample` formats and writes its draws one block at a time."""
+
+    LAWS = [
+        (["gg", "--beta", "0.8", "--scale", "2.5", "--mean", "-1.5"], gg_noise, gg_noise.GGNoise(0.8, 2.5, -1.5)),
+        (["alpha-mu", "--alpha", "2.5", "--mu", "1.5", "--h-root", "0.7"], fading, fading.AlphaMuFading(2.5, 1.5, 0.7)),
+    ]
+
+    @pytest.mark.parametrize(
+        "count", [1, cli._BLOCK - 1, cli._BLOCK, cli._BLOCK + 1, 3 * cli._BLOCK + 7], ids=["1", "B-1", "B", "B+1", "3B+7"]
+    )
+    @pytest.mark.parametrize("argv,module,law", LAWS, ids=["gg", "alpha-mu"])
+    def test_blocks_are_the_rows_of_the_draws(self, tmp_path, capsys, count, argv, module, law):
+        expected = "value\n" + "".join("%.9g\n" % v for v in module.sample(law, 11, count))
+        args = ["sample", "--law", *argv, "--count", str(count)]
+        assert run_cli(capsys, "--seed", "11", *args) == (0, expected, "")
+        target = tmp_path / "draws.csv"
+        assert run_cli(capsys, "--seed", "11", "--out", str(target), *args) == (0, "", "")
+        assert target.read_bytes() == expected.encode()
+
+    def test_output_is_not_held_whole(self, tmp_path, capsys):
+        # 10**6 draws are 8 MB; the rows as one list of strings came to about 97 MB
+        args = ["--out", str(tmp_path / "draws.csv"), "sample", "--law", "gg", "--count"]
+        assert main(args + ["10"]) == 0  # lazy imports load outside the measurement
+        tracemalloc.start()
+        try:
+            code = main(args + ["1000000"])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 0
+        assert peak < 3 * 8_000_000
+        assert (tmp_path / "draws.csv").stat().st_size > 10**7
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["sample", "--law", "gg", "--count", "1000000"],
+            ["sample", "--law", "alpha-mu", "--count", "1000000"],
+            ["capacity", "--beta", "2", "--snr-db", "0:100:0.001"],
+        ],
+        ids=["sample-gg", "sample-alpha-mu", "capacity"],
+    )
+    def test_reader_closing_the_pipe_ends_quietly(self, argv):
+        # `cmd | head -n 1`: once the reader has gone, the command stops writing without a traceback
+        src = str(pathlib.Path(cli.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "uwacap.cli", *argv], stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env
+        )
+        first = proc.stdout.readline()
+        proc.stdout.close()
+        err = proc.stderr.read()
+        proc.stderr.close()
+        assert proc.wait(timeout=60) == 0
+        assert err == b""
+        assert first in (b"value\n", b"snr_db,lower,upper\n")
 
 
 class TestVerifyCommand:
