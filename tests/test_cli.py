@@ -222,6 +222,11 @@ class TestSecrecyCommand:
 
 
 class TestSampleCommand:
+    LAWS = [
+        (["gg", "--beta", "0.8", "--scale", "2.5", "--mean", "-1.5"], gg_noise, gg_noise.GGNoise(0.8, 2.5, -1.5)),
+        (["alpha-mu", "--alpha", "2.5", "--mu", "1.5", "--h-root", "0.7"], fading, fading.AlphaMuFading(2.5, 1.5, 0.7)),
+    ]
+
     def test_determinism_and_thread_invariance(self, capsys):
         args = ["--seed", "5", "sample", "--law", "gg", "--beta", "1", "--count", "50"]
         _, out1, _ = run_cli(capsys, *args)
@@ -268,14 +273,7 @@ class TestSampleCommand:
         assert run_cli(capsys, "--samp", "2000", "gap", "1")[0] == 0
 
     @pytest.mark.parametrize("threads", ["1", "2"])
-    @pytest.mark.parametrize(
-        "argv,module,law",
-        [
-            (["gg", "--beta", "0.8", "--scale", "2.5", "--mean", "-1.5"], gg_noise, gg_noise.GGNoise(0.8, 2.5, -1.5)),
-            (["alpha-mu", "--alpha", "2.5", "--mu", "1.5", "--h-root", "0.7"], fading, fading.AlphaMuFading(2.5, 1.5, 0.7)),
-        ],
-        ids=["gg", "alpha-mu"],
-    )
+    @pytest.mark.parametrize("argv,module,law", LAWS, ids=["gg", "alpha-mu"])
     def test_draws_are_the_eight_chunk_library_draws(self, capsys, threads, argv, module, law):
         # sample's last digits follow numpy's version, so the golden files leave it out; this pins the plan
         code, out, _ = run_cli(capsys, "--seed", "7", "--threads", threads, "sample", "--law", *argv, "--count", "3000")
@@ -296,15 +294,6 @@ class TestSampleCommand:
         assert err.startswith("usage error: draws of %s(" % name)
         assert err.count("\n") == 1
 
-
-class TestSampleStreaming:
-    """`sample` formats and writes its draws one block at a time."""
-
-    LAWS = [
-        (["gg", "--beta", "0.8", "--scale", "2.5", "--mean", "-1.5"], gg_noise, gg_noise.GGNoise(0.8, 2.5, -1.5)),
-        (["alpha-mu", "--alpha", "2.5", "--mu", "1.5", "--h-root", "0.7"], fading, fading.AlphaMuFading(2.5, 1.5, 0.7)),
-    ]
-
     @pytest.mark.parametrize(
         "count", [1, cli._BLOCK - 1, cli._BLOCK, cli._BLOCK + 1, 3 * cli._BLOCK + 7], ids=["1", "B-1", "B", "B+1", "3B+7"]
     )
@@ -318,7 +307,7 @@ class TestSampleStreaming:
         assert target.read_bytes() == expected.encode()
 
     def test_output_is_not_held_whole(self, tmp_path, capsys):
-        # 10**6 draws are 8 MB; the rows as one list of strings came to about 97 MB
+        # 10**6 draws are 8 MB; their rows held as one list of strings would take about 100 MB
         args = ["--out", str(tmp_path / "draws.csv"), "sample", "--law", "gg", "--count"]
         assert main(args + ["10"]) == 0  # lazy imports load outside the measurement
         tracemalloc.start()
