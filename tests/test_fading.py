@@ -1,12 +1,13 @@
 import math
 import sys
+import tracemalloc
 
 import mpmath
 import numpy as np
 import pytest
 from scipy import stats
 
-from uwacap import fading
+from uwacap import fading, sampling
 from uwacap.numerics import DomainError
 
 PARAM_GRID = [0.5, 1.0, 2.0, 4.0]
@@ -39,6 +40,33 @@ class TestSampling:
         a = fading.sample(law, 5, 9999, chunks=8, threads=1)
         b = fading.sample(law, 5, 9999, chunks=8, threads=8)
         assert np.array_equal(a, b)
+
+    @pytest.mark.parametrize("threads", [1, 3])
+    @pytest.mark.parametrize("count,chunks", [(1, 8), (3, 8), (9, 8), (10_001, 3)])
+    @pytest.mark.parametrize(
+        "law",
+        [fading.AlphaMuFading(1.3, 0.6, 1.2), fading.AlphaMuFading(2.0, 1.0, 0.7), fading.AlphaMuFading(0.5, 1.5)],
+        ids=["alpha1.3", "alpha2", "alpha0.5"],
+    )
+    def test_draws_are_the_chunkwise_expression_bit_for_bit(self, law, count, chunks, threads):
+        inv, parts = 1.0 / law.alpha, []
+        for i, n in enumerate(sampling.chunk_sizes(count, chunks)):
+            g = sampling.chunk_rng(5, i).standard_gamma(law.mu, n)
+            parts.append(law.h_root * (g / law.mu) ** inv)
+        expected = np.concatenate(parts)
+        x = fading.sample(law, 5, count, chunks=chunks, threads=threads)
+        assert np.array_equal(x.view(np.int64), expected.view(np.int64))
+
+    def test_draw_allocates_nothing_beyond_its_output(self):
+        law = fading.AlphaMuFading(2.0, 1.0)
+        fading.sample(law, 0, 10)  # lazy imports load outside the measurement
+        tracemalloc.start()
+        try:
+            x = fading.sample(law, 0, 10**6)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.5 * x.nbytes
 
     def test_power_moment(self):
         law = fading.AlphaMuFading(2.0, 1.0, 1.0)

@@ -1,11 +1,12 @@
 import math
+import tracemalloc
 
 import mpmath
 import numpy as np
 import pytest
 from scipy import special, stats
 
-from uwacap import capacity, gg_noise as gg
+from uwacap import capacity, gg_noise as gg, sampling
 from uwacap.numerics import DomainError
 
 BETA_GRID = [0.3, 0.5, 0.8, 1.0, 1.5, 2.0, 3.0, 5.0]
@@ -126,6 +127,38 @@ class TestSampling:
         a = gg.sample(law, 9, 10001, chunks=8, threads=1)
         b = gg.sample(law, 9, 10001, chunks=8, threads=8)
         assert np.array_equal(a, b)
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    @pytest.mark.parametrize("threads", [1, 3])
+    @pytest.mark.parametrize("count,chunks", [(1, 8), (3, 8), (9, 8), (10_001, 3)])
+    @pytest.mark.parametrize(
+        "law",
+        [gg.GGNoise(0.7, 1.4, mean=-1.5), gg.GGNoise(2.0, 2.5, mean=0.3), gg.GGNoise(0.5, 0.9, mean=4.0),
+         gg.GGNoise(0.005, 1.0, mean=2.0)],
+        ids=["beta0.7", "beta2", "beta0.5", "beta0.005-overflows"],
+    )
+    def test_draws_are_the_chunkwise_expression_bit_for_bit(self, law, count, chunks, threads):
+        # the per-chunk expression, concatenated; beta 0.005 draws overflow to +-inf
+        inv, parts = 1.0 / law.beta, []
+        for i, n in enumerate(sampling.chunk_sizes(count, chunks)):
+            rng = sampling.chunk_rng(5, i)
+            g = rng.standard_gamma(inv, n)
+            signs = 1.0 - 2.0 * rng.integers(0, 2, n)
+            parts.append(law.mean + signs * law.scale * g**inv)
+        expected = np.concatenate(parts)
+        x = gg.sample(law, 5, count, chunks=chunks, threads=threads)
+        assert np.array_equal(x.view(np.int64), expected.view(np.int64))
+
+    def test_draw_allocates_little_beyond_its_output(self):
+        law = gg.GGNoise(1.0, 1.0)
+        gg.sample(law, 0, 10)  # lazy imports load outside the measurement
+        tracemalloc.start()
+        try:
+            x = gg.sample(law, 0, 10**6)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.5 * x.nbytes  # the output plus one chunk's signs
 
     def test_sample_variance(self):
         law = gg.GGNoise(2.0, math.sqrt(2.0))

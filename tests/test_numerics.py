@@ -41,6 +41,48 @@ class TestReal:
         with pytest.raises(DomainError, match="^x must be a finite real"):
             real("x", value, lower, strict)
 
+    class Sub(float):
+        pass
+
+    @pytest.mark.parametrize(
+        "value,expected",
+        [
+            (0.5, 0.5),
+            (Sub(0.5), 0.5),
+            (np.float64(0.5), 0.5),
+            (True, 1.0),
+            (Fraction(1, 4), 0.25),
+            (2**1023, 2.0**1023),
+        ],
+        ids=["float", "float-subclass", "float64", "bool", "fraction", "large-int"],
+    )
+    def test_returns_a_plain_float(self, value, expected):
+        # only an exact float skips the numbers.Real check; every other real is converted by float()
+        x = real("x", value, 0.0)
+        assert x == expected and x.__class__ is float
+
+    @pytest.mark.parametrize(
+        "value,lower,strict,message",
+        [
+            (-0.5, 0.0, True, "x must be a finite real > 0, got -0.5"),
+            (0.0, 0.0, True, "x must be a finite real > 0, got 0.0"),
+            (-1e-300, 0.0, False, "x must be a finite real >= 0, got -1e-300"),
+            (Sub(-0.5), 0.0, True, "x must be a finite real > 0, got -0.5"),
+            (np.float64(-0.5), 0.0, True, "x must be a finite real > 0, got %r" % np.float64(-0.5)),
+            (False, 0.0, True, "x must be a finite real > 0, got False"),
+            (Fraction(-1, 4), 0.0, True, "x must be a finite real > 0, got Fraction(-1, 4)"),
+            (10**400, 0.0, True, "x must be a finite real > 0, got %d" % 10**400),
+            (math.nan, -math.inf, True, "x must be a finite real, got nan"),
+            (math.inf, 0.0, True, "x must be a finite real > 0, got inf"),
+            (-math.inf, -math.inf, False, "x must be a finite real, got -inf"),
+            (Sub(math.nan), -math.inf, True, "x must be a finite real, got nan"),
+        ],
+    )
+    def test_error_messages(self, value, lower, strict, message):
+        with pytest.raises(DomainError) as caught:
+            real("x", value, lower, strict)
+        assert str(caught.value) == message
+
 
 class TestInteger:
     def test_accepts_integral_values_in_range(self):
