@@ -195,12 +195,21 @@ def _convolved_values(law, power, points, noise_radius, input_radius):
         a = np.maximum(edges[j], near[piece])
         b = np.minimum(edges[j + 1], far[piece])
         half = 0.5 * np.maximum(b - a, 0.0)
-        d = (a + half)[:, None] + half[:, None] * nodes
-        x = (points[owner[piece]] - mean)[:, None] - sign[piece][:, None] * d
-        exponent = log_const - (d / law.scale) ** law.beta - 0.5 * x * x / power
-        values += np.bincount(
-            owner[piece], weights=(np.exp(exponent) @ weights) * half, minlength=len(points)
-        )
+        # exp(log_const - (d / scale)**beta - 0.5 * x * x / power), with d and x the only block-sized arrays
+        d = half[:, None] * nodes
+        d += (a + half)[:, None]
+        x = sign[piece][:, None] * d  # exact: the sign is +-1
+        np.subtract((points[owner[piece]] - mean)[:, None], x, out=x)
+        x *= x
+        x *= 0.5
+        x /= power
+        d /= law.scale
+        d **= law.beta
+        np.subtract(log_const, d, out=d)
+        d -= x
+        np.exp(d, out=d)
+        values += np.bincount(owner[piece], weights=(d @ weights) * half, minlength=len(points))
+        del d, x  # released before the next block's are built
     return values
 
 
