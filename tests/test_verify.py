@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import mpmath
 import numpy as np
@@ -265,6 +266,69 @@ class TestConvolutionOracle:
         want = _windowed_convolution(law, power, y, noise_radius, input_radius)
         assert want > 0
         assert abs(got - float(want)) <= 1e-9 * float(want)
+
+
+def _out_of_place_convolved_values(law, power, points, noise_radius, input_radius):
+    """verify._convolved_values with each block evaluated as one out-of-place expression: the reference."""
+    nodes, weights = verify._gauss_legendre()
+    edges = verify._panel_edges(law, power, noise_radius)
+    mean = law.mean
+    lo = np.maximum(mean - noise_radius, points - input_radius)
+    hi = np.minimum(mean + noise_radius, points + input_radius)
+    near = np.concatenate([mean - np.minimum(hi, mean), np.maximum(lo, mean) - mean])
+    far = np.concatenate([mean - lo, hi - mean])
+    sign = np.repeat([-1.0, 1.0], len(points))
+    owner = np.tile(np.arange(len(points)), 2)
+    keep = far > near
+    near, far, sign, owner = near[keep], far[keep], sign[keep], owner[keep]
+    first = np.searchsorted(edges, near, side="right") - 1
+    counts = np.minimum(np.searchsorted(edges, far), len(edges) - 1) - first
+
+    log_const = law.log_norm - 0.5 * math.log(2.0 * math.pi * power)
+    values = np.zeros(len(points))
+    starts = np.cumsum(counts) - counts
+    block_of = starts // (verify._BLOCK_ELEMENTS // verify._GL_ORDER)
+    for block in np.split(np.arange(len(counts)), np.flatnonzero(np.diff(block_of)) + 1):
+        sizes = counts[block]
+        piece = np.repeat(block, sizes)
+        j = first[piece] + np.arange(len(piece)) - np.repeat(np.cumsum(sizes) - sizes, sizes)
+        a = np.maximum(edges[j], near[piece])
+        b = np.minimum(edges[j + 1], far[piece])
+        half = 0.5 * np.maximum(b - a, 0.0)
+        d = (a + half)[:, None] + half[:, None] * nodes
+        x = (points[owner[piece]] - mean)[:, None] - sign[piece][:, None] * d
+        exponent = log_const - (d / law.scale) ** law.beta - 0.5 * x * x / power
+        values += np.bincount(owner[piece], weights=(np.exp(exponent) @ weights) * half, minlength=len(points))
+    return values
+
+
+class TestConvolutionKernel:
+    @pytest.mark.parametrize("beta", [0.3, 0.5, 1.0, 2.0, 3.0, 20.0])
+    @pytest.mark.parametrize("power,mean", [(0.1, 0.0), (3.0, -1.25)])
+    def test_in_place_blocks_match_the_reference_bit_for_bit(self, monkeypatch, beta, power, mean):
+        monkeypatch.setattr(verify, "_BLOCK_ELEMENTS", 2**10)  # 51 panels a block, so many blocks
+        law = gg.GGNoise(beta, gg.with_variance(beta, 1.0).scale, mean)
+        noise_radius = gg.tail_radius(law, 0.5e-10)
+        input_radius = gg.tail_radius(gg.GGNoise(2.0, math.sqrt(2.0 * power)), 0.5e-10)
+        points = mean + np.linspace(-1.0, 1.0, 501) * (noise_radius + input_radius)
+        got = verify._convolved_values(law, power, points, noise_radius, input_radius)
+        want = _out_of_place_convolved_values(law, power, points, noise_radius, input_radius)
+        assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
+    @pytest.mark.parametrize("snr,points", [(0.1, 1745), (1e-3, 8001)])
+    def test_peak_memory_is_about_two_block_arrays(self, snr, points):
+        # verify's largest grid, and one that doubled twice; evaluated out of place,
+        # blocks of 2**18 nodes peaked at 9.3 and 12.2 MB here
+        config = capacity.ChannelConfig(snr, gg.with_variance(0.5, 1.0))
+        verify.output_density(config)  # the Gauss-Legendre rule is cached outside the measurement
+        tracemalloc.start()
+        try:
+            grid = verify.output_density(config)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(grid.points) == points
+        assert peak < 3_000_000  # two 512 KB block arrays plus the grid's own per-point arrays
 
 
 def counted(monkeypatch, module, name, key):
