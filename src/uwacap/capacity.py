@@ -84,8 +84,8 @@ class CapacityBounds(Record):
     def __init__(self, lower, upper):
         if not lower <= upper:
             raise DomainError("CapacityBounds requires lower <= upper")
-        self._set("lower", lower)
-        self._set("upper", upper)
+        self._set("lower", real("CapacityBounds.lower", lower))
+        self._set("upper", real("CapacityBounds.upper", upper))
 
     @property
     def width(self):
@@ -98,8 +98,7 @@ class ChannelConfig(Record):
     _fields = ("signal_power", "noise")
 
     def __init__(self, signal_power, noise):
-        real("signal_power", signal_power, 0.0, strict=False)
-        self._set("signal_power", signal_power)
+        self._set("signal_power", real("signal_power", signal_power, 0.0, strict=False))
         self._set("noise", noise)
 
     @property

@@ -33,7 +33,7 @@ from .secrecy import (
 
 
 _MAX_ROWS = 10**7  # the most range values or draws one command may build
-_BLOCK = 1 << 14  # draws that `sample` formats and writes at a time
+_BLOCK = 1 << 14  # draws that `sample` checks, formats and writes at a time
 
 
 class UsageError(Exception):
@@ -183,7 +183,8 @@ def cmd_sample(args, config):
     with warnings.catch_warnings():  # process-wide, so it also quiets the worker threads
         warnings.simplefilter("ignore", RuntimeWarning)
         draws = module.sample(law, config.seed, count, threads=config.threads)
-    if not np.isfinite(draws).all():
+    # a block at a time, so no mask the size of the draws is built; all before the first row is written
+    if not all(np.isfinite(draws[start:start + _BLOCK]).all() for start in range(0, count, _BLOCK)):
         raise UsageError("draws of %r lie beyond the float range" % (law,))
 
     def blocks():

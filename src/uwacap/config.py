@@ -12,13 +12,9 @@ class SimConfig(Record):
     _fields = ("seed", "samples", "quad_rtol", "threads")
 
     def __init__(self, seed=0, samples=100_000, quad_rtol=DEFAULT_RTOL, threads=1):
-        integer("seed", seed, 0)
-        integer("samples", samples, 1)
-        integer("threads", threads, 1)
-        if seed >= 2**64:
+        self._set("seed", integer("seed", seed, 0))
+        self._set("samples", integer("samples", samples, 1))
+        self._set("threads", integer("threads", threads, 1))
+        if self.seed >= 2**64:
             raise DomainError("seed must be a 64-bit unsigned integer")
-        tolerance("quad_rtol", quad_rtol)
-        self._set("seed", seed)
-        self._set("samples", samples)
-        self._set("quad_rtol", quad_rtol)
-        self._set("threads", threads)
+        self._set("quad_rtol", tolerance("quad_rtol", quad_rtol))

@@ -21,12 +21,9 @@ class AlphaMuFading(Record):
     _fields = ("alpha", "mu", "h_root")
 
     def __init__(self, alpha, mu, h_root=1.0):
-        real("AlphaMuFading.alpha", alpha, 0.0)
-        real("AlphaMuFading.mu", mu, 0.0)
-        real("AlphaMuFading.h_root", h_root, 0.0)
-        self._set("alpha", alpha)
-        self._set("mu", mu)
-        self._set("h_root", h_root)
+        self._set("alpha", real("AlphaMuFading.alpha", alpha, 0.0))
+        self._set("mu", real("AlphaMuFading.mu", mu, 0.0))
+        self._set("h_root", real("AlphaMuFading.h_root", h_root, 0.0))
 
 
 def sample(law, seed, count, chunks=8, threads=1):

@@ -24,12 +24,9 @@ class GGNoise(Record):
     _fields = ("beta", "scale", "mean")
 
     def __init__(self, beta, scale, mean=0.0):
-        real("GGNoise.beta", beta, 0.0)
-        real("GGNoise.scale", scale, 0.0)
-        real("GGNoise.mean", mean)
-        self._set("beta", beta)
-        self._set("scale", scale)
-        self._set("mean", mean)
+        self._set("beta", real("GGNoise.beta", beta, 0.0))
+        self._set("scale", real("GGNoise.scale", scale, 0.0))
+        self._set("mean", real("GGNoise.mean", mean))
 
     @property
     def log_norm(self):
@@ -216,7 +213,9 @@ def sample(law, seed, count, chunks=8, threads=1):
 
     def draw(rng, out):
         rng.standard_gamma(inv, out=out)
-        signs = 1.0 - 2.0 * rng.integers(0, 2, len(out))
+        signs = rng.integers(0, 2, len(out))
+        signs *= -2
+        signs += 1
         # mean + S * scale * G**inv, bit for bit: multiplying by +-1 is exact
         out **= inv
         out *= law.scale

@@ -27,10 +27,11 @@ _NEGLIGIBLE = 2.0**-53  # a tail below this fraction of the sum cannot change it
 class Record:
     """A frozen value: equality, hash and repr over the class's ``_fields``.
 
-    Each subclass's ``__init__`` checks its arguments and stores each field
-    with ``self._set(name, value)``; any other assignment or deletion of an
-    attribute raises AttributeError. Two records are equal when they are of
-    the same class with equal fields, and the repr is
+    Each subclass's ``__init__`` stores each field with ``self._set(name,
+    value)``, where a checked field's value is what its check returned: a
+    float, or an int for an integer field. Any other assignment or deletion
+    of an attribute raises AttributeError. Two records are equal when they
+    are of the same class with equal fields, and the repr is
     ``Name(field=value, ...)``.
     """
 

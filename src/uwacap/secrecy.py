@@ -17,14 +17,10 @@ class SecrecyScenario(Record):
     _fields = ("snr_sd", "snr_se", "beta_sd", "beta_se")
 
     def __init__(self, snr_sd, snr_se, beta_sd, beta_se):
-        real("SecrecyScenario.snr_sd", snr_sd, 0.0, strict=False)
-        real("SecrecyScenario.snr_se", snr_se, 0.0, strict=False)
-        real("SecrecyScenario.beta_sd", beta_sd, 0.0)
-        real("SecrecyScenario.beta_se", beta_se, 0.0)
-        self._set("snr_sd", snr_sd)
-        self._set("snr_se", snr_se)
-        self._set("beta_sd", beta_sd)
-        self._set("beta_se", beta_se)
+        self._set("snr_sd", real("SecrecyScenario.snr_sd", snr_sd, 0.0, strict=False))
+        self._set("snr_se", real("SecrecyScenario.snr_se", snr_se, 0.0, strict=False))
+        self._set("beta_sd", real("SecrecyScenario.beta_sd", beta_sd, 0.0))
+        self._set("beta_se", real("SecrecyScenario.beta_se", beta_se, 0.0))
 
 
 def secrecy_rate_awgn(snr_sd, snr_se, units="bits"):

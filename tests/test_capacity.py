@@ -120,9 +120,9 @@ class TestBoundsTypes:
 
     def test_underflowing_variance_names_the_law(self):
         # scale**2 underflows, so the variance would be 0.0 and the SNR divide by it
-        with pytest.raises(DomainError, match=r"beta=20 and scale=1e-200"):
+        with pytest.raises(DomainError, match=r"beta=20\.0 and scale=1e-200"):
             capacity.ChannelConfig(1.0, gg.GGNoise(20, 1e-200)).snr
-        with pytest.raises(DomainError, match=r"beta=20 and scale=1e-170"):
+        with pytest.raises(DomainError, match=r"beta=20\.0 and scale=1e-170"):
             capacity.awggn_bounds(capacity.ChannelConfig(1.0, gg.GGNoise(20, 1e-170)))
 
 

@@ -294,6 +294,22 @@ class TestSampleCommand:
         assert err.startswith("usage error: draws of %s(" % name)
         assert err.count("\n") == 1
 
+    @pytest.mark.parametrize("position", [0, cli._BLOCK, -1], ids=["first", "second block", "last"])
+    def test_a_non_finite_draw_in_any_block_writes_nothing(self, monkeypatch, tmp_path, capsys, position):
+        # the draws are checked a block at a time, and every block before the file is opened
+        def draws(law, seed, count, threads):
+            out = np.ones(count)
+            out[position] = math.nan
+            return out
+
+        monkeypatch.setattr(gg_noise, "sample", draws)
+        target = tmp_path / "draws.csv"
+        argv = ["--out", str(target), "sample", "--law", "gg", "--count", str(3 * cli._BLOCK + 7)]
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out) == (1, "")
+        assert err.startswith("usage error: draws of GGNoise(")
+        assert not target.exists()
+
     @pytest.mark.parametrize(
         "count", [1, cli._BLOCK - 1, cli._BLOCK, cli._BLOCK + 1, 3 * cli._BLOCK + 7], ids=["1", "B-1", "B", "B+1", "3B+7"]
     )

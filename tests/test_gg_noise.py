@@ -158,7 +158,7 @@ class TestSampling:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 1.5 * x.nbytes  # the output plus one chunk's signs
+        assert peak <= 1.25 * x.nbytes  # the output plus one chunk's integer signs, 1.125x at one thread
 
     def test_sample_variance(self):
         law = gg.GGNoise(2.0, math.sqrt(2.0))

@@ -84,6 +84,49 @@ class TestReal:
         assert str(caught.value) == message
 
 
+def _value_types(number):
+    """One of each of the six value types, every checked field built as ``number(0)`` or ``number(1)``."""
+    one, zero = number(1), number(0)
+    return [
+        uwacap.GGNoise(one, one, zero),
+        uwacap.AlphaMuFading(one, one, one),
+        uwacap.CapacityBounds(zero, one),
+        uwacap.ChannelConfig(one, uwacap.GGNoise(1.0, 1.0)),
+        uwacap.SecrecyScenario(one, zero, one, one),
+        uwacap.SimConfig(seed=one, samples=one, threads=one),
+    ]
+
+
+class TestCheckedFields:
+    @pytest.mark.parametrize("number", [Fraction, np.float64, bool, int])
+    def test_fields_store_what_their_checks_return(self, number):
+        for got, want in zip(_value_types(number), _value_types(float)):
+            assert got == want and hash(got) == hash(want) and repr(got) == repr(want)
+            for name in got._fields:
+                assert type(getattr(got, name)) is type(getattr(want, name))
+        assert type(uwacap.SimConfig().seed) is int  # an integer field stores an int, a real field a float
+        assert type(uwacap.GGNoise(1, 1).beta) is float
+
+    @pytest.mark.parametrize("number", [Fraction, np.float64])
+    def test_tolerance_field_stores_a_float(self, number):
+        rtol = uwacap.SimConfig(quad_rtol=number(1) / number(8)).quad_rtol
+        assert type(rtol) is float and rtol == 0.125
+
+    def test_fraction_laws_run_through_the_numpy_paths(self):
+        from uwacap import fading, verify
+
+        exact, plain = uwacap.GGNoise(Fraction(3, 2), Fraction(1), Fraction(1, 4)), uwacap.GGNoise(1.5, 1.0, 0.25)
+        n = np.linspace(-3.0, 3.0, 7)
+        got = gg_noise.log_pdf(exact, n)
+        assert got.dtype == float and np.array_equal(got, gg_noise.log_pdf(plain, n))
+        assert np.array_equal(verify.gg_density_grid(exact).values, verify.gg_density_grid(plain).values)
+        density = verify.output_density(uwacap.ChannelConfig(Fraction(1), exact))
+        assert np.array_equal(density.values, verify.output_density(uwacap.ChannelConfig(1.0, plain)).values)
+        assert np.array_equal(gg_noise.sample(exact, 7, 1000), gg_noise.sample(plain, 7, 1000))
+        exact, plain = fading.AlphaMuFading(Fraction(2), Fraction(1), Fraction(1, 2)), fading.AlphaMuFading(2.0, 1.0, 0.5)
+        assert np.array_equal(fading.sample(exact, 7, 1000), fading.sample(plain, 7, 1000))
+
+
 class TestInteger:
     def test_accepts_integral_values_in_range(self):
         assert integer("n", 3, 1) == 3 and type(integer("n", 3, 1)) is int

@@ -52,9 +52,9 @@ VALUES = [
     (SimConfig, (), {}, "SimConfig(seed=0, samples=100000, quad_rtol=1e-08, threads=1)"),
     (
         SecrecyScenario,
-        (10.0, 0.5, 1.0, 2),
-        {"snr_sd": 10.0, "snr_se": 0.5, "beta_sd": 1.0, "beta_se": 2},
-        "SecrecyScenario(snr_sd=10.0, snr_se=0.5, beta_sd=1.0, beta_se=2)",
+        (10.0, 0.5, 1.0, 2.0),
+        {"snr_sd": 10.0, "snr_se": 0.5, "beta_sd": 1.0, "beta_se": 2.0},
+        "SecrecyScenario(snr_sd=10.0, snr_se=0.5, beta_sd=1.0, beta_se=2.0)",
     ),
 ]
 IDS = [case[0].__name__ for case in VALUES]
