@@ -2,7 +2,10 @@
 
 Subcommands: gap, capacity, ergodic, secrecy, sample, verify. SNRs are
 accepted in dB (matching the figures) and converted once at this boundary;
-all CSV values carry 9 significant digits with LF line endings.
+all CSV values carry 9 significant digits with LF line endings. Each command
+builds its whole output and returns it with its exit code for `main` to write
+(`sample` checks every draw, then streams its rows), so a usage error on a
+later row leaves stdout empty and creates no --out file.
 
 Exit codes: 0 success, 1 usage error, 2 numeric non-convergence,
 3 verification failure.
@@ -88,8 +91,10 @@ def _parse_range(text):
     return [lo + k * step for k in range(count)]
 
 
-def _text(lines):
-    return "\n".join(lines) + "\n"
+def _csv(header, rows):
+    """A whole CSV table: the header, then each row's values at %.9g ("%.9g" % True is "1")."""
+    line = ",".join(["%.9g"] * (header.count(",") + 1)) + "\n"
+    return header + "\n" + "".join([line % row for row in rows])
 
 
 def _emit(chunks, out):
@@ -120,56 +125,38 @@ def cmd_gap(args, config):
     betas = sorted(args.betas)
     if not betas:
         raise UsageError("gap requires at least one beta value")
-    lines = ["beta,gap_bits,gap_nats"]
-    for b in betas:
-        lines.append(",".join([_fmt(b), _fmt(gap(b, "bits")), _fmt(gap(b, "nats"))]))
-    _emit([_text(lines)], args.out)
-    return 0
+    return 0, [_csv("beta,gap_bits,gap_nats", [(b, gap(b, "bits"), gap(b, "nats")) for b in betas])]
+
+
+def _bounds_sweep(args, bounds_at):
+    """The sandwich table of `bounds_at(linear SNR)` over the --snr-db range."""
+    sweep = [(snr_db, bounds_at(_db_to_linear(snr_db))) for snr_db in _parse_range(args.snr_db)]
+    return 0, [_csv("snr_db,lower,upper", [(snr_db, b.lower, b.upper) for snr_db, b in sweep])]
 
 
 def cmd_capacity(args, config):
     noise = _gg.with_variance(args.beta, 1.0)
-    lines = ["snr_db,lower,upper"]
-    for snr_db in _parse_range(args.snr_db):
-        config = ChannelConfig(_db_to_linear(snr_db), noise)
-        bounds = awggn_bounds(config, args.units)
-        lines.append(",".join([_fmt(snr_db), _fmt(bounds.lower), _fmt(bounds.upper)]))
-    _emit([_text(lines)], args.out)
-    return 0
+    return _bounds_sweep(args, lambda snr: awggn_bounds(ChannelConfig(snr, noise), args.units))
 
 
 def cmd_ergodic(args, config):
     law = _fading.unit_power(args.alpha, args.mu)
-    lines = ["snr_db,lower,upper"]
-    for snr_db in _parse_range(args.snr_db):
-        bounds = ergodic_bounds(_db_to_linear(snr_db), law, args.beta, config.quad_rtol, args.units)
-        lines.append(",".join([_fmt(snr_db), _fmt(bounds.lower), _fmt(bounds.upper)]))
-    _emit([_text(lines)], args.out)
-    return 0
+    return _bounds_sweep(args, lambda snr: ergodic_bounds(snr, law, args.beta, config.quad_rtol, args.units))
 
 
 def cmd_secrecy(args, config):
     snr_se = _db_to_linear(args.snr_se_db)
     condition = "printed" if args.as_printed else "derived"
     threshold = secrecy_threshold(args.beta_sd, args.beta_se, snr_se)
-    lines = ["snr_sd_db,secrecy_rate,positive"]
+    rows = []
     for snr_sd_db in _parse_range(args.snr_sd_db):
-        scenario = SecrecyScenario(
-            snr_sd=_db_to_linear(snr_sd_db),
-            snr_se=snr_se,
-            beta_sd=args.beta_sd,
-            beta_se=args.beta_se,
-        )
-        rate = secrecy_rate_awggn(scenario, args.units)
-        positive = secrecy_positive(scenario, condition)
-        lines.append(",".join([_fmt(snr_sd_db), _fmt(rate), "1" if positive else "0"]))
+        scenario = SecrecyScenario(_db_to_linear(snr_sd_db), snr_se, args.beta_sd, args.beta_se)
+        rows.append((snr_sd_db, secrecy_rate_awggn(scenario, args.units), secrecy_positive(scenario, condition)))
+    table = _csv("snr_sd_db,secrecy_rate,positive", rows)
     # written once every row is built, so a usage error is the only stderr line
     threshold_db = 10.0 * math.log10(threshold) if threshold > 0 else -math.inf
-    sys.stderr.write(
-        "# secrecy threshold: snr_sd = %s (%s dB)\n" % (_fmt(threshold), _fmt(threshold_db))
-    )
-    _emit([_text(lines)], args.out)
-    return 0
+    sys.stderr.write("# secrecy threshold: snr_sd = %s (%s dB)\n" % (_fmt(threshold), _fmt(threshold_db)))
+    return 0, [table]
 
 
 def cmd_sample(args, config):
@@ -193,8 +180,7 @@ def cmd_sample(args, config):
             block = draws[start:start + _BLOCK].tolist()
             yield "%.9g\n" * len(block) % tuple(block)
 
-    _emit(blocks(), args.out)
-    return 0
+    return 0, blocks()
 
 
 def cmd_verify(args, config):
@@ -202,17 +188,13 @@ def cmd_verify(args, config):
 
     rows = _verify.run_checks(config, args.quick)
     width = max(len(r[0]) for r in rows)
-    lines = []
-    failures = 0
-    for name, measured, tolerance, passed in rows:
-        failures += 0 if passed else 1
-        lines.append(
-            "%-*s  measured=%-14s tolerance=%-12s %s"
-            % (width, name, _fmt(measured), _fmt(tolerance), "PASS" if passed else "FAIL")
-        )
-    lines.append("verify: %d checks, %d failed" % (len(rows), failures))
-    _emit([_text(lines)], args.out)
-    return 3 if failures else 0
+    failures = sum(not r[3] for r in rows)
+    lines = [
+        "%-*s  measured=%-14s tolerance=%-12s %s\n"
+        % (width, name, _fmt(measured), _fmt(tolerance), "PASS" if passed else "FAIL")
+        for name, measured, tolerance, passed in rows
+    ]
+    return 3 if failures else 0, lines + ["verify: %d checks, %d failed\n" % (len(rows), failures)]
 
 
 def _global_flags():
@@ -298,7 +280,9 @@ def main(argv=None):
             quad_rtol=args.quad_rtol,
             threads=args.threads,
         )
-        return args.func(args, config)
+        code, chunks = args.func(args, config)
+        _emit(chunks, args.out)
+        return code
     except (UsageError, DomainError) as exc:
         sys.stderr.write("usage error: %s\n" % exc)
         return 1

@@ -32,11 +32,14 @@ def sample(law, seed, count, chunks=8, threads=1):
     Deterministic given (seed, count, chunks). G is drawn straight into the
     output and transformed in place, so a draw allocates nothing beyond its
     output. Each chunk costs about 1.7 KB and 70-100 us beyond its draws
-    (measured at 10**5 chunks), and at most one thread runs per chunk.
+    (measured at 10**5 chunks), and at most one thread runs per chunk. A law
+    with mu < 53/1075 and alpha > (1075 + log2 mu)/53, whose gamma variates
+    would round to 0 in place of draws that matter, raises DomainError.
     """
-    from .sampling import chunked_draw
+    from .sampling import check_gamma_zeros, chunked_draw
 
     inv = 1.0 / law.alpha
+    check_gamma_zeros(law, law.mu, inv, law.mu)
 
     def draw(rng, out):
         rng.standard_gamma(law.mu, out=out)

@@ -205,11 +205,13 @@ def sample(law, seed, count, chunks=8, threads=1):
     and transformed in place, so a draw allocates its output once plus, per
     running thread, one chunk's signs. Each chunk costs about 1.7 KB and
     70-100 us beyond its draws (measured at 10**5 chunks), and at most one
-    thread runs per chunk.
+    thread runs per chunk. A shape beta > 1075/53, whose gamma variates would
+    round to 0 in place of draws that matter, raises DomainError.
     """
-    from .sampling import chunked_draw
+    from .sampling import check_gamma_zeros, chunked_draw
 
     inv = 1.0 / law.beta
+    check_gamma_zeros(law, inv, inv)
 
     def draw(rng, out):
         rng.standard_gamma(inv, out=out)

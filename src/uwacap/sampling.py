@@ -5,16 +5,38 @@ so output depends only on (seed, count, chunks) and not on thread count.
 """
 
 import itertools
+import math
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
-from .numerics import integer
+from .numerics import DomainError, integer
+
+_ZERO_BITS = 1075  # a gamma variate below 2**-1075 rounds to 0.0
+_KEPT_BITS = 53  # zeros rarer than 2**-53, or standing for less than 2**-53 of the scale, are harmless
 
 
 def chunk_rng(seed, index):
     """Independent generator for one chunk of a (seed, chunks) sampling plan."""
     return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(index,)))
+
+
+def check_gamma_zeros(law, shape, power, divisor=1.0):
+    """Refuse ``law`` if the zeros of its Gamma(``shape``) variates G stand for draws that matter.
+
+    A sampler maps G to (G / ``divisor``)**``power`` times the law's scale. For a
+    shape below 1, numpy draws G as a power U**(1/shape) of a uniform U, which
+    rounds to 0 with probability about 2**(-1075 * shape). Each such zero stands
+    for a draw up to (2**-1075 / divisor)**power of the scale. A law where both
+    exceed 2**-53 raises DomainError: GG laws with beta > 1075/53, and alpha-mu
+    laws with mu < 53/1075 and alpha > (1075 + log2 mu)/53.
+    """
+    odds, reach = _ZERO_BITS * shape, (_ZERO_BITS + math.log2(divisor)) * power
+    if odds < _KEPT_BITS and reach < _KEPT_BITS:
+        raise DomainError(
+            "%r is out of range for sampling: its Gamma(%r) variates round to 0 with probability 2**-%.4g,"
+            " each in place of a draw up to 2**-%.4g of its scale" % (law, shape, odds, reach)
+        )
 
 
 def chunk_sizes(count, chunks):

@@ -294,6 +294,29 @@ class TestSampleCommand:
         assert err.startswith("usage error: draws of %s(" % name)
         assert err.count("\n") == 1
 
+    @pytest.mark.parametrize(
+        "law,name",
+        [
+            (["gg", "--beta", "21"], "GGNoise(beta=21.0,"),
+            (["gg", "--beta", "1000"], "GGNoise(beta=1000.0,"),
+            (["alpha-mu", "--alpha", "1000", "--mu", "0.01"], "AlphaMuFading(alpha=1000.0, mu=0.01,"),
+        ],
+        ids=["gg21", "gg1000", "alpha-mu"],
+    )
+    def test_shapes_whose_gamma_zeros_matter_are_usage_errors(self, capsys, law, name):
+        code, out, err = run_cli(capsys, "sample", "--law", *law, "--count", "5")
+        assert (code, out) == (1, "")
+        assert err.startswith("usage error: %s" % name)
+        assert err.count("\n") == 1
+
+    @pytest.mark.parametrize(
+        "law", [["gg", "--beta", "20"], ["alpha-mu", "--alpha", "1000", "--mu", "0.05"]], ids=["gg20", "alpha-mu"]
+    )
+    def test_shapes_at_the_edge_still_draw(self, capsys, law):
+        code, out, err = run_cli(capsys, "sample", "--law", *law, "--count", "5")
+        assert (code, err) == (0, "")
+        assert len(parse_csv(out)[1]) == 5
+
     @pytest.mark.parametrize("position", [0, cli._BLOCK, -1], ids=["first", "second block", "last"])
     def test_a_non_finite_draw_in_any_block_writes_nothing(self, monkeypatch, tmp_path, capsys, position):
         # the draws are checked a block at a time, and every block before the file is opened
@@ -424,6 +447,24 @@ class TestDecibelOverflow:
         code, out, err = run_cli(capsys, *(a.format(value) for a in argv))
         assert (code, out) == (1, "")
         assert err == "usage error: %s\n" % message
+
+    @pytest.mark.parametrize("to_file", [False, True], ids=["stdout", "out"])
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["capacity", "--beta", "1", "--snr-db=0:4000:1000"],
+            ["ergodic", "--alpha", "2", "--snr-db=0:4000:1000"],
+            ["secrecy", "--beta-sd", "1", "--beta-se", "2", "--snr-se-db", "0", "--snr-sd-db=0:4000:1000"],
+        ],
+        ids=["capacity", "ergodic", "secrecy"],
+    )
+    def test_a_later_row_over_range_writes_nothing(self, tmp_path, capsys, argv, to_file):
+        # rows 0 to 3000 dB are fine; the table is built whole, so the 4000 dB row stops it before any write
+        target = tmp_path / "sweep.csv"
+        code, out, err = run_cli(capsys, *(["--out", str(target)] if to_file else []), *argv)
+        assert (code, out) == (1, "")
+        assert err == "usage error: 4000 dB is past the float range as a linear SNR\n"
+        assert not target.exists()
 
     @pytest.mark.parametrize("snr_db", ["-inf:0:1", "0:nan:1", "0:1:inf"])
     def test_range_values_not_finite(self, capsys, snr_db):

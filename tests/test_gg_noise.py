@@ -186,6 +186,15 @@ class TestSampling:
         statistic = stats.kstest(g, lambda t: special.gammainc(shape, t)).statistic
         assert statistic < 1.6276 / math.sqrt(n)
 
+    @pytest.mark.parametrize("beta", [21.0, 1000.0])
+    def test_shapes_whose_gamma_zeros_matter_are_refused(self, beta):
+        # at beta 1000, 47% of the draws would be exact zeros standing for draws up to 0.48 scale
+        with pytest.raises(DomainError, match=r"^GGNoise\(beta=%r, scale=1.0, mean=0.0\) is out of range" % beta):
+            gg.sample(gg.GGNoise(beta, 1.0), 0, 10)
+
+    def test_shape_at_the_edge_still_draws(self):
+        assert np.all(gg.sample(gg.GGNoise(20.0, 1.0), 3, 100_000) != 0.0)
+
     def test_bad_count(self):
         with pytest.raises(DomainError):
             gg.sample(gg.GGNoise(2.0, 1.0), 0, 0)
