@@ -60,6 +60,8 @@ def gap(beta, units="bits"):
         for c in reversed(_GAP_SERIES):
             poly = poly * h + c
         return to_units(poly * h * h, units)
+    if b < 1.1718826319535557e-305:  # below it ln Gamma(3 / beta) overflows a float
+        raise DomainError("beta=%r is out of range: ln Gamma(3/beta) overflows a float" % b)
     nats = 0.5 * (
         2.0 * math.log(b)
         + math.log(math.pi)

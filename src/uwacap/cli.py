@@ -205,7 +205,7 @@ def _global_flags():
     parser.add_argument("--units", choices=("bits", "nats"), default="bits")
     parser.add_argument("--out", default="stdout", help="output path or 'stdout'")
     parser.add_argument(
-        "--quad-rtol", type=float, default=DEFAULT_RTOL, help="relative tolerance of the ergodic rule and verify's pdf_mass"
+        "--quad-rtol", type=float, default=DEFAULT_RTOL, help="relative tolerance of the ergodic rule, the only rule it tunes"
     )
     return parser
 

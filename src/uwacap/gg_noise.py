@@ -87,6 +87,8 @@ def with_variance(beta, target_variance, mean=0.0):
     """The GG law of shape ``beta`` whose variance is ``target_variance``."""
     beta = real("beta", beta, 0.0)
     target_variance = real("target_variance", target_variance, 0.0)
+    if beta < 1.1718826319535557e-305:  # below it ln Gamma(3 / beta) overflows a float
+        raise DomainError("beta=%r is out of range: ln Gamma(3/beta) overflows a float" % beta)
     scale = math.sqrt(target_variance) * math.exp(0.5 * (log_gamma(1.0 / beta) - log_gamma(3.0 / beta)))
     if scale < sys.float_info.min:  # a subnormal scale has lost digits: 0.99983 variance at beta 0.0075
         raise DomainError(

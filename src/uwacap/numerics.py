@@ -5,10 +5,11 @@ small shape parameters cannot overflow Gamma(1/beta). ``fading.unit_power``
 and the ergodic Gamma weight, where a difference of two log-gammas would
 cancel at large mu, write ln Gamma as Stirling's formula plus
 ``stirling_remainder``, the one place that switches to Stirling's series
-(past 100). ``log_gamma`` is
-``math.lgamma``, and ``integrate``, a double-exponential trapezoid rule
-over the whole real line, is pure ``math``, so no module of the package
-needs SciPy. ``Record`` is the base of the package's frozen value types.
+(past 100). ``log_gamma`` is ``math.lgamma``, so no module of the package
+needs SciPy. ``integrate``, a double-exponential trapezoid rule over the
+whole real line, has no caller in the package (verify reads each density's
+mass from its panel grid); it stays until perfbench stops tracing it by name.
+``Record`` is the base of the package's frozen value types.
 """
 
 import itertools
@@ -17,7 +18,7 @@ import numbers
 
 LN2 = math.log(2.0)
 
-DEFAULT_RTOL = 1e-8  # default relative tolerance of the ergodic and verify quadratures
+DEFAULT_RTOL = 1e-8  # default relative tolerance of the ergodic rule, the one rule --quad-rtol tunes
 ABSOLUTE_TOLERANCE = 1e-12  # absolute tolerance of ``integrate``; the ergodic rule has none
 MAX_EVALUATIONS = 100_000  # lattice terms per quadrature before QuadratureError
 _HALF_PI = 0.5 * math.pi

@@ -15,7 +15,7 @@ import numpy as np
 
 from . import gg_noise as _gg
 from .capacity import ChannelConfig, awggn_bounds, gap
-from .numerics import DomainError, QuadratureError, integrate, to_units
+from .numerics import DomainError, QuadratureError, to_units
 
 _BETA_RANGE = (0.3, 20.0)  # shapes whose panel quadrature is checked against an mpmath oracle
 _GL_ORDER = 20  # Gauss-Legendre nodes per panel
@@ -305,35 +305,33 @@ def _mass_row(name, grid):
 def run_checks(config, quick):
     """(name, measured, tolerance, passed) rows of the invariant suite.
 
-    ``config`` is a SimConfig (seed, sample budget, quadrature tolerance);
+    ``config`` is a SimConfig; its ``quad_rtol`` tunes only the ergodic rule.
     ``quick`` shrinks the beta/SNR sweep to beta 1, 2 and SNR 1 for a smoke
-    run; each of its rows equals the full suite's row of the same name.
+    run; each of its rows equals the full suite's row of the same name. One
+    ``gg_density_grid`` per beta feeds its pdf_mass, grid_mass and entropy rows.
     """
     betas = (1.0, 2.0) if quick else (0.5, 0.8, 1.0, 1.5, 2.0, 3.0)
     snrs = (1.0,) if quick else (0.1, 1.0, 10.0, 100.0)
     laws = {beta: _gg.with_variance(beta, 1.0) for beta in betas}
+    grids = {beta: gg_density_grid(law) for beta, law in laws.items()}
     rows = []
 
-    for beta, law in laws.items():
-        mass = integrate(lambda n: _gg.pdf(law, n), config.quad_rtol)
-        rows.append(("pdf_mass beta=%g" % beta, abs(mass - 1.0), 1e-8, abs(mass - 1.0) <= 1e-8))
+    for beta, grid in grids.items():
+        # the grid leaves exactly truncation_mass outside, so a unit-mass pdf fills the rest
+        err = abs(grid.mass + grid.truncation_mass - 1.0)
+        rows.append(("pdf_mass beta=%g" % beta, err, 1e-8, err <= 1e-8))
 
     for beta, law in laws.items():
         estimate, stderr = mc_entropy(law, config)
         z = abs(estimate - _gg.entropy(law, "nats")) / stderr
         rows.append(("mc_entropy beta=%g (|z|)" % beta, z, 4.0, z <= 4.0))
 
-    # both sweeps contain beta = 2, the Gaussian reference
-    entropies, mass_rows = {}, {}
-    for beta, law in laws.items():
-        grid = gg_density_grid(law)
-        # a grid that misses its mass window has no entropy: nan fails the row
-        entropies[beta] = grid_entropy(grid) if grid.landed else math.nan
-        mass_rows[beta] = _mass_row("grid_mass beta=%g" % beta, grid)
+    # both sweeps contain beta = 2, the Gaussian reference; a grid off its mass window has nan entropy
+    entropies = {beta: grid_entropy(grid) if grid.landed else math.nan for beta, grid in grids.items()}
     for beta in betas:
         err = abs(entropies[2.0] - entropies[beta] - gap(beta, "nats"))
         rows.append(("entropy_gap_identity beta=%g" % beta, err, 1e-6, err <= 1e-6))
-        rows.append(mass_rows[beta])
+        rows.append(_mass_row("grid_mass beta=%g" % beta, grids[beta]))
 
     for beta in betas:
         for snr in snrs:

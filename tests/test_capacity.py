@@ -49,6 +49,16 @@ class TestGap:
         with pytest.raises(DomainError):
             capacity.gap(2.0, "decibans")
 
+    @pytest.mark.parametrize("beta", [5e-324, 1e-320, 1e-306, math.nextafter(1.1718826319535557e-305, 0.0)])
+    def test_log_gamma_overflow_names_beta(self, beta):
+        # ln Gamma(3/beta) is past the float range (3/beta is inf at 5e-324)
+        with pytest.raises(DomainError, match=r"^beta=%r is out of range: ln Gamma\(3/beta\) overflows" % beta):
+            capacity.gap(beta)
+
+    def test_smallest_beta_with_a_finite_log_gamma(self):
+        # the closed form is finite down to the last beta whose ln Gamma(3/beta) is a float
+        assert math.isfinite(capacity.gap(1.1718826319535557e-305, "nats"))
+
 
 # beta = 2 +- 10**-k for k = 1..12, the edges of the series interval with
 # their float neighbours, and [0.1, 20] in steps of 0.01

@@ -58,10 +58,29 @@ class TestGapCommand:
         assert code == 1
 
     def test_log_gamma_overflow_is_usage_error(self, capsys):
-        # ln Gamma(3/beta) overflows a float: a usage error, not a silent 0
+        # ln Gamma(3/beta) overflows a float: a usage error that names beta, not a silent 0
         code, out, err = run_cli(capsys, "gap", "1e-306")
         assert (code, out) == (1, "")
-        assert err.startswith("usage error: log_gamma argument 3e+306 is too large")
+        assert err == "usage error: beta=1e-306 is out of range: ln Gamma(3/beta) overflows a float\n"
+
+
+class TestTinyBeta:
+    """A shape whose ln Gamma(3/beta) overflows a float is named, in every command that takes one."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["gap", "1e-320"],
+            ["capacity", "--beta", "1e-320", "--snr-db", "0"],
+            ["ergodic", "--alpha", "2", "--beta", "1e-320", "--snr-db", "0"],
+            ["secrecy", "--beta-sd", "1", "--beta-se", "1e-320", "--snr-se-db", "0", "--snr-sd-db", "0"],
+        ],
+        ids=["gap", "capacity", "ergodic", "secrecy"],
+    )
+    def test_names_beta(self, capsys, argv):
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out) == (1, "")
+        assert err == "usage error: beta=1e-320 is out of range: ln Gamma(3/beta) overflows a float\n"
 
 
 class TestGapNearTwo:
@@ -417,6 +436,15 @@ class TestVerifyCommand:
         assert len(grid_rows) == 2
         assert all(line.endswith(" FAIL") for line in grid_rows)
         assert [line for line in out.splitlines() if line.startswith("output_mass")][0].endswith(" PASS")
+
+
+class TestVerifyQuadRtol:
+    def test_quad_rtol_does_not_change_verify(self, capsys):
+        # --quad-rtol tunes only the ergodic rule; no verify row reads it
+        default = run_cli(capsys, "--seed", "7", "verify", "--quick")
+        loose = run_cli(capsys, "--seed", "7", "--quad-rtol", "0.5", "verify", "--quick")
+        assert default[0] == 0
+        assert loose == default
 
 
 class TestDecibelOverflow:

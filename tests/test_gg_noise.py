@@ -94,6 +94,12 @@ class TestVariance:
         with pytest.raises(DomainError, match="^beta=0.0075 with target_variance=1.0"):
             gg.with_variance(0.0075, 1.0)
 
+    @pytest.mark.parametrize("beta", [5e-324, 1e-320, 1e-306])
+    def test_log_gamma_overflow_names_beta(self, beta):
+        # ln Gamma(3/beta) is past the float range (3/beta is inf at 5e-324)
+        with pytest.raises(DomainError, match=r"^beta=%r is out of range: ln Gamma\(3/beta\) overflows" % beta):
+            gg.with_variance(beta, 1.0)
+
 
 class TestEntropy:
     def test_gaussian(self):

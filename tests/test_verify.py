@@ -5,7 +5,7 @@ import mpmath
 import numpy as np
 import pytest
 
-from uwacap import capacity, gg_noise as gg, verify
+from uwacap import capacity, gg_noise as gg, numerics, verify
 from uwacap.config import SimConfig
 from uwacap.numerics import DomainError, QuadratureError
 
@@ -370,6 +370,27 @@ class TestRunChecks:
         quick = verify.run_checks(SimConfig(seed=0), quick=True)
         assert len(quick) == 12
         assert quick == [full[row[0]] for row in quick]
+
+    @pytest.mark.parametrize("quick", [False, True], ids=["full", "quick"])
+    def test_one_density_grid_per_beta_and_no_whole_line_quadrature(self, monkeypatch, quick):
+        def refused(*args, **kwargs):
+            raise AssertionError("verify ran numerics.integrate")
+
+        monkeypatch.setattr(numerics, "integrate", refused)
+        grids = counted(monkeypatch, verify, "gg_density_grid", lambda law: law.beta)
+        rows = verify.run_checks(SimConfig(seed=0), quick=quick)
+        assert "integrate" not in vars(verify)
+        assert grids == ([1.0, 2.0] if quick else BETA_GRID)
+        assert all(row[3] for row in rows)
+
+    def test_pdf_mass_is_the_density_grid_mass(self, full_run):
+        # the grid leaves exactly truncation_mass outside, so the rest is the pdf's mass
+        pdf_rows = [row for row in full_run[0] if row[0].startswith("pdf_mass")]
+        assert [row[0] for row in pdf_rows] == ["pdf_mass beta=%g" % beta for beta in BETA_GRID]
+        for beta, (_, measured, tolerance, passed) in zip(BETA_GRID, pdf_rows):
+            grid = verify.gg_density_grid(gg.with_variance(beta, 1.0))
+            assert measured == abs(grid.mass + grid.truncation_mass - 1.0)
+            assert (tolerance, passed) == (1e-8, True)
 
 
 class TestGaussianInputMI:
