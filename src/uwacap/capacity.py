@@ -22,6 +22,7 @@ from .numerics import (
     halving_trapezoid,
     log_gamma,
     real,
+    shape,
     stirling_remainder,
     to_units,
     tolerance,
@@ -51,17 +52,15 @@ def gap(beta, units="bits"):
     closed form. The closed form adds O(1) log-gamma terms whose sum is
     O((beta - 2)**2), so it loses digits as beta nears 2 (4e-8 relative at
     beta = 2.001). For beta in [0.1, 20] the result is within 1e-12 relative
-    of the exact gap.
+    of the exact gap. A beta below ``numerics.shape``'s floor raises DomainError.
     """
-    b = real("beta", beta, 0.0)
+    b = shape("beta", beta)
     if 1.5 <= b <= 2.5:
         h = (2.0 - b) / (2.0 * b)
         poly = 0.0
         for c in reversed(_GAP_SERIES):
             poly = poly * h + c
         return to_units(poly * h * h, units)
-    if b < 1.1718826319535557e-305:  # below it ln Gamma(3 / beta) overflows a float
-        raise DomainError("beta=%r is out of range: ln Gamma(3/beta) overflows a float" % b)
     nats = 0.5 * (
         2.0 * math.log(b)
         + math.log(math.pi)

@@ -3,9 +3,9 @@
 Subcommands: gap, capacity, ergodic, secrecy, sample, verify. SNRs are
 accepted in dB (matching the figures) and converted once at this boundary;
 all CSV values carry 9 significant digits with LF line endings. Each command
-builds its whole output and returns it with its exit code for `main` to write
-(`sample` checks every draw, then streams its rows), so a usage error on a
-later row leaves stdout empty and creates no --out file.
+builds its whole output (`sample` checks every draw, then streams its rows)
+and returns it with its exit code and stderr note to `main`, the one writer,
+so a usage error leaves stdout empty, no --out file and one stderr line.
 
 Exit codes: 0 success, 1 usage error, 2 numeric non-convergence,
 3 verification failure.
@@ -39,19 +39,15 @@ _MAX_ROWS = 10**7  # the most range values or draws one command may build
 _BLOCK = 1 << 14  # draws that `sample` checks, formats and writes at a time
 
 
-class UsageError(Exception):
-    pass
-
-
 def _capped(what, count):
     if not count <= _MAX_ROWS:
-        raise UsageError("%s must not exceed %d, got %s" % (what, _MAX_ROWS, count))
+        raise DomainError("%s must not exceed %d, got %s" % (what, _MAX_ROWS, count))
     return count
 
 
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
-        raise UsageError(message)
+        raise DomainError(message)
 
 
 def _fmt(x):
@@ -60,13 +56,13 @@ def _fmt(x):
 
 def _db_to_linear(db):
     if math.isnan(db):
-        raise UsageError("%s dB is not a number" % _fmt(db))
+        raise DomainError("%s dB is not a number" % _fmt(db))
     try:
         if db < math.inf:
             return 10.0 ** (db / 10.0)
     except OverflowError:
         pass
-    raise UsageError("%s dB is past the float range as a linear SNR" % _fmt(db))
+    raise DomainError("%s dB is past the float range as a linear SNR" % _fmt(db))
 
 
 def _parse_range(text):
@@ -80,11 +76,11 @@ def _parse_range(text):
         else:
             raise ValueError
     except ValueError:
-        raise UsageError("range must be 'lo:hi:step' or a single number, got %r" % text)
+        raise DomainError("range must be 'lo:hi:step' or a single number, got %r" % text)
     if not all(map(math.isfinite, (lo, hi, step))):
-        raise UsageError("range values must be finite, got %r" % text)
+        raise DomainError("range values must be finite, got %r" % text)
     if step == 0:
-        raise UsageError("range step must be nonzero")
+        raise DomainError("range step must be nonzero")
     lo, hi, step = min(lo, hi), max(lo, hi), abs(step)
     _capped("range size", (hi - lo) / step + 1.0)  # before anything is built; inf too
     count = int(math.floor((hi - lo) / step + 1e-9)) + 1
@@ -118,20 +114,20 @@ def _emit(chunks, out):
                 for chunk in chunks:
                     fh.write(chunk)
         except OSError as exc:
-            raise UsageError("cannot write %s: %s" % (out, exc.strerror or exc))
+            raise DomainError("cannot write %s: %s" % (out, exc.strerror or exc))
 
 
 def cmd_gap(args, config):
     betas = sorted(args.betas)
     if not betas:
-        raise UsageError("gap requires at least one beta value")
-    return 0, [_csv("beta,gap_bits,gap_nats", [(b, gap(b, "bits"), gap(b, "nats")) for b in betas])]
+        raise DomainError("gap requires at least one beta value")
+    return 0, [_csv("beta,gap_bits,gap_nats", [(b, gap(b, "bits"), gap(b, "nats")) for b in betas])], ""
 
 
 def _bounds_sweep(args, bounds_at):
     """The sandwich table of `bounds_at(linear SNR)` over the --snr-db range."""
     sweep = [(snr_db, bounds_at(_db_to_linear(snr_db))) for snr_db in _parse_range(args.snr_db)]
-    return 0, [_csv("snr_db,lower,upper", [(snr_db, b.lower, b.upper) for snr_db, b in sweep])]
+    return 0, [_csv("snr_db,lower,upper", [(snr_db, b.lower, b.upper) for snr_db, b in sweep])], ""
 
 
 def cmd_capacity(args, config):
@@ -152,11 +148,9 @@ def cmd_secrecy(args, config):
     for snr_sd_db in _parse_range(args.snr_sd_db):
         scenario = SecrecyScenario(_db_to_linear(snr_sd_db), snr_se, args.beta_sd, args.beta_se)
         rows.append((snr_sd_db, secrecy_rate_awggn(scenario, args.units), secrecy_positive(scenario, condition)))
-    table = _csv("snr_sd_db,secrecy_rate,positive", rows)
-    # written once every row is built, so a usage error is the only stderr line
     threshold_db = 10.0 * math.log10(threshold) if threshold > 0 else -math.inf
-    sys.stderr.write("# secrecy threshold: snr_sd = %s (%s dB)\n" % (_fmt(threshold), _fmt(threshold_db)))
-    return 0, [table]
+    note = "# secrecy threshold: snr_sd = %s (%s dB)\n" % (_fmt(threshold), _fmt(threshold_db))
+    return 0, [_csv("snr_sd_db,secrecy_rate,positive", rows)], note
 
 
 def cmd_sample(args, config):
@@ -172,7 +166,7 @@ def cmd_sample(args, config):
         draws = module.sample(law, config.seed, count, threads=config.threads)
     # a block at a time, so no mask the size of the draws is built; all before the first row is written
     if not all(np.isfinite(draws[start:start + _BLOCK]).all() for start in range(0, count, _BLOCK)):
-        raise UsageError("draws of %r lie beyond the float range" % (law,))
+        raise DomainError("draws of %r lie beyond the float range" % (law,))
 
     def blocks():
         yield "value\n"
@@ -180,7 +174,7 @@ def cmd_sample(args, config):
             block = draws[start:start + _BLOCK].tolist()
             yield "%.9g\n" * len(block) % tuple(block)
 
-    return 0, blocks()
+    return 0, blocks(), ""
 
 
 def cmd_verify(args, config):
@@ -194,7 +188,7 @@ def cmd_verify(args, config):
         % (width, name, _fmt(measured), _fmt(tolerance), "PASS" if passed else "FAIL")
         for name, measured, tolerance, passed in rows
     ]
-    return 3 if failures else 0, lines + ["verify: %d checks, %d failed\n" % (len(rows), failures)]
+    return 3 if failures else 0, lines + ["verify: %d checks, %d failed\n" % (len(rows), failures)], ""
 
 
 def _global_flags():
@@ -261,13 +255,13 @@ def _parse(argv):
     """Parse argv; an unknown option before the subcommand is named, not its value."""
     try:
         return build_parser().parse_args(argv)
-    except UsageError as exc:
+    except DomainError as exc:
         try:
             extras = _global_flags().parse_known_args(argv)[1]
-        except UsageError:
+        except DomainError:
             raise exc
         if extras and extras[0].startswith("-"):
-            raise UsageError("unrecognized option: %s" % extras[0].split("=")[0])
+            raise DomainError("unrecognized option: %s" % extras[0].split("=")[0])
         raise
 
 
@@ -280,10 +274,11 @@ def main(argv=None):
             quad_rtol=args.quad_rtol,
             threads=args.threads,
         )
-        code, chunks = args.func(args, config)
+        code, chunks, note = args.func(args, config)
         _emit(chunks, args.out)
+        sys.stderr.write(note)  # after the table, so a failed write leaves the usage error alone
         return code
-    except (UsageError, DomainError) as exc:
+    except DomainError as exc:
         sys.stderr.write("usage error: %s\n" % exc)
         return 1
     except QuadratureError as exc:

@@ -9,7 +9,7 @@ more peaked, heavier-tailed law.
 import math
 import sys
 
-from .numerics import DomainError, Record, log_gamma, real, to_units
+from .numerics import DomainError, Record, log_gamma, real, shape, to_units
 
 _EPS = sys.float_info.epsilon
 _TINY = 1e-300  # Lentz's stand-in for a zero denominator
@@ -24,7 +24,7 @@ class GGNoise(Record):
     _fields = ("beta", "scale", "mean")
 
     def __init__(self, beta, scale, mean=0.0):
-        self._set("beta", real("GGNoise.beta", beta, 0.0))
+        self._set("beta", shape("GGNoise.beta", beta))
         self._set("scale", real("GGNoise.scale", scale, 0.0))
         self._set("mean", real("GGNoise.mean", mean))
 
@@ -84,11 +84,9 @@ def variance(law):
 
 
 def with_variance(beta, target_variance, mean=0.0):
-    """The GG law of shape ``beta`` whose variance is ``target_variance``."""
-    beta = real("beta", beta, 0.0)
+    """The GG law of shape ``beta`` (checked by ``numerics.shape``) whose variance is ``target_variance``."""
+    beta = shape("beta", beta)
     target_variance = real("target_variance", target_variance, 0.0)
-    if beta < 1.1718826319535557e-305:  # below it ln Gamma(3 / beta) overflows a float
-        raise DomainError("beta=%r is out of range: ln Gamma(3/beta) overflows a float" % beta)
     scale = math.sqrt(target_variance) * math.exp(0.5 * (log_gamma(1.0 / beta) - log_gamma(3.0 / beta)))
     if scale < sys.float_info.min:  # a subnormal scale has lost digits: 0.99983 variance at beta 0.0075
         raise DomainError(

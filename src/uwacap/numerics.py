@@ -62,7 +62,7 @@ class Record:
 
 
 class DomainError(ValueError):
-    """An argument lies outside a function's mathematical domain."""
+    """An argument or input lies outside what a function or command accepts."""
 
 
 class QuadratureError(RuntimeError):
@@ -112,6 +112,14 @@ def tolerance(name, value):
     if x < 1.0:
         return x
     raise DomainError("%s must be a finite real in (0, 1), got %r" % (name, value))
+
+
+def shape(name, value):
+    """``real(name, value, 0.0)`` for a GG shape beta; below 1.17e-305 it raises DomainError."""
+    beta = real(name, value, 0.0)
+    if beta < 1.1718826319535557e-305:  # below it ln Gamma(3/beta) overflows a float
+        raise DomainError("%s=%r is out of range: ln Gamma(3/beta) overflows a float" % (name, beta))
+    return beta
 
 
 def log_gamma(x):

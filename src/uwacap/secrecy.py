@@ -8,7 +8,7 @@ proven secrecy capacity for non-Gaussian wiretap channels.
 import math
 
 from .capacity import gap
-from .numerics import DomainError, Record, real, to_units
+from .numerics import DomainError, Record, real, shape, to_units
 
 
 class SecrecyScenario(Record):
@@ -19,8 +19,8 @@ class SecrecyScenario(Record):
     def __init__(self, snr_sd, snr_se, beta_sd, beta_se):
         self._set("snr_sd", real("SecrecyScenario.snr_sd", snr_sd, 0.0, strict=False))
         self._set("snr_se", real("SecrecyScenario.snr_se", snr_se, 0.0, strict=False))
-        self._set("beta_sd", real("SecrecyScenario.beta_sd", beta_sd, 0.0))
-        self._set("beta_se", real("SecrecyScenario.beta_se", beta_se, 0.0))
+        self._set("beta_sd", shape("SecrecyScenario.beta_sd", beta_sd))
+        self._set("beta_se", shape("SecrecyScenario.beta_se", beta_se))
 
 
 def secrecy_rate_awgn(snr_sd, snr_se, units="bits"):
@@ -78,7 +78,7 @@ def secrecy_threshold(beta_sd, beta_se, snr_se):
     A threshold beyond the float range is inf: the rate is then zero at
     every finite snr_sd.
     """
-    beta_sd, beta_se = real("beta_sd", beta_sd, 0.0), real("beta_se", beta_se, 0.0)
+    beta_sd, beta_se = shape("beta_sd", beta_sd), shape("beta_se", beta_se)
     snr_se = real("snr_se", snr_se, 0.0, strict=False)
     shift = 2.0 * (gap(beta_se, "nats") - gap(beta_sd, "nats"))
     try:

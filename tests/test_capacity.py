@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from scipy.special import exp1
 
-from uwacap import capacity, fading, gg_noise as gg
+from uwacap import capacity, fading, gg_noise as gg, secrecy
 from uwacap.cli import main
 from uwacap.numerics import DomainError, QuadratureError
 
@@ -57,7 +57,17 @@ class TestGap:
 
     def test_smallest_beta_with_a_finite_log_gamma(self):
         # the closed form is finite down to the last beta whose ln Gamma(3/beta) is a float
-        assert math.isfinite(capacity.gap(1.1718826319535557e-305, "nats"))
+        floor = 1.1718826319535557e-305
+        assert math.isfinite(capacity.gap(floor, "nats"))
+        # every other entry point that takes a shape accepts it too
+        law = gg.GGNoise(floor, 1.0)
+        assert math.isfinite(gg.entropy(law)) and math.isfinite(law.log_norm)
+        assert secrecy.SecrecyScenario(1.0, 1.0, floor, floor).beta_se == floor
+        assert secrecy.secrecy_threshold(floor, floor, 1.0) == 1.0
+        assert secrecy.secrecy_threshold(2.0, floor, 1.0) == math.inf
+        # with_variance passes it on to its scale, which underflows the normal floats
+        with pytest.raises(DomainError, match="^beta=%r with target_variance=1.0 is out of range: the GG scale" % floor):
+            gg.with_variance(floor, 1.0)
 
 
 # beta = 2 +- 10**-k for k = 1..12, the edges of the series interval with

@@ -68,19 +68,20 @@ class TestTinyBeta:
     """A shape whose ln Gamma(3/beta) overflows a float is named, in every command that takes one."""
 
     @pytest.mark.parametrize(
-        "argv",
+        "argv, name",
         [
-            ["gap", "1e-320"],
-            ["capacity", "--beta", "1e-320", "--snr-db", "0"],
-            ["ergodic", "--alpha", "2", "--beta", "1e-320", "--snr-db", "0"],
-            ["secrecy", "--beta-sd", "1", "--beta-se", "1e-320", "--snr-se-db", "0", "--snr-sd-db", "0"],
+            (["gap", "1e-320"], "beta"),
+            (["capacity", "--beta", "1e-320", "--snr-db", "0"], "beta"),
+            (["ergodic", "--alpha", "2", "--beta", "1e-320", "--snr-db", "0"], "beta"),
+            (["secrecy", "--beta-sd", "1", "--beta-se", "1e-320", "--snr-se-db", "0", "--snr-sd-db", "0"], "beta_se"),
+            (["secrecy", "--beta-sd", "1e-320", "--beta-se", "1", "--snr-se-db", "0", "--snr-sd-db", "0"], "beta_sd"),
         ],
-        ids=["gap", "capacity", "ergodic", "secrecy"],
+        ids=["gap", "capacity", "ergodic", "secrecy", "secrecy-beta-sd"],
     )
-    def test_names_beta(self, capsys, argv):
+    def test_names_beta(self, capsys, argv, name):
         code, out, err = run_cli(capsys, *argv)
         assert (code, out) == (1, "")
-        assert err == "usage error: beta=1e-320 is out of range: ln Gamma(3/beta) overflows a float\n"
+        assert err == "usage error: %s=1e-320 is out of range: ln Gamma(3/beta) overflows a float\n" % name
 
 
 class TestGapNearTwo:
@@ -580,10 +581,18 @@ class TestOutputFile:
         assert data.decode().splitlines()[0] == "beta,gap_bits,gap_nats"
 
     def test_unwritable_out_is_usage_error(self, tmp_path, capsys):
+        # in every command the usage error is the only stderr line: secrecy's threshold note is not written either
         target = tmp_path / "missing" / "x.csv"
-        code, out, err = run_cli(capsys, "--out", str(target), "gap", "1")
-        assert code == 1
-        assert out == ""
-        assert err.startswith("usage error: cannot write")
-        assert "\n" not in err.rstrip("\n")
-        assert not target.parent.exists()
+        for argv in (
+            ["gap", "1"],
+            ["capacity", "--beta", "1", "--snr-db", "0"],
+            ["ergodic", "--alpha", "2", "--snr-db", "0"],
+            ["secrecy", "--beta-sd", "1", "--beta-se", "2", "--snr-se-db", "0", "--snr-sd-db", "0"],
+            ["sample", "--law", "gg", "--count", "10"],
+            ["verify", "--quick"],
+        ):
+            code, out, err = run_cli(capsys, "--out", str(target), *argv)
+            assert (code, out) == (1, ""), argv
+            assert err.startswith("usage error: cannot write %s: " % target), argv
+            assert err.count("\n") == 1 and err.endswith("\n"), (argv, err)
+            assert not target.parent.exists()

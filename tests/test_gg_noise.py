@@ -10,6 +10,7 @@ from uwacap import capacity, gg_noise as gg, sampling
 from uwacap.numerics import DomainError
 
 BETA_GRID = [0.3, 0.5, 0.8, 1.0, 1.5, 2.0, 3.0, 5.0]
+BELOW_FLOOR = math.nextafter(1.1718826319535557e-305, 0.0)  # the largest shape whose ln Gamma(3/beta) overflows
 
 
 class TestLaw:
@@ -23,6 +24,12 @@ class TestLaw:
     def test_invalid(self, kwargs):
         with pytest.raises(DomainError):
             gg.GGNoise(**kwargs)
+
+    @pytest.mark.parametrize("beta", [5e-324, 1e-320, BELOW_FLOOR])
+    def test_log_gamma_overflow_names_beta(self, beta):
+        # refused when built, not later by entropy, variance or log_norm with a message about log_gamma
+        with pytest.raises(DomainError, match=r"^GGNoise.beta=%r is out of range: ln Gamma\(3/beta\) overflows" % beta):
+            gg.GGNoise(beta, 1.0)
 
 
 class TestPdf:
@@ -94,7 +101,7 @@ class TestVariance:
         with pytest.raises(DomainError, match="^beta=0.0075 with target_variance=1.0"):
             gg.with_variance(0.0075, 1.0)
 
-    @pytest.mark.parametrize("beta", [5e-324, 1e-320, 1e-306])
+    @pytest.mark.parametrize("beta", [5e-324, 1e-320, 1e-306, BELOW_FLOOR])
     def test_log_gamma_overflow_names_beta(self, beta):
         # ln Gamma(3/beta) is past the float range (3/beta is inf at 5e-324)
         with pytest.raises(DomainError, match=r"^beta=%r is out of range: ln Gamma\(3/beta\) overflows" % beta):

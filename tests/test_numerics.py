@@ -11,7 +11,18 @@ import pytest
 
 import uwacap
 from uwacap import gg_noise, numerics
-from uwacap.numerics import DomainError, QuadratureError, integer, integrate, log_gamma, real, stirling_remainder
+from uwacap.numerics import (
+    DomainError,
+    QuadratureError,
+    integer,
+    integrate,
+    log_gamma,
+    real,
+    shape,
+    stirling_remainder,
+)
+
+FLOOR = 1.1718826319535557e-305  # the smallest shape whose ln Gamma(3/beta) is a float
 
 
 class TestReal:
@@ -141,6 +152,26 @@ class TestInteger:
     def test_rejects(self, value, lower):
         with pytest.raises(DomainError, match="^n must be an integer >= %d" % lower):
             integer("n", value, lower)
+
+
+class TestShape:
+    @pytest.mark.parametrize("beta", [FLOOR, 1e-3, 2.0, 1e300])
+    def test_accepts_the_floor_and_above(self, beta):
+        assert shape("beta", beta) == beta
+        assert math.isfinite(log_gamma(3.0 / beta))
+
+    @pytest.mark.parametrize("beta", [5e-324, 1e-320, math.nextafter(FLOOR, 0.0)])
+    def test_below_the_floor_names_the_argument(self, beta):
+        with pytest.raises(DomainError) as info:
+            shape("Law.beta", beta)
+        assert str(info.value) == "Law.beta=%r is out of range: ln Gamma(3/beta) overflows a float" % beta
+        with pytest.raises(DomainError):
+            log_gamma(3.0 / beta)
+
+    @pytest.mark.parametrize("bad", [0.0, -1.0, math.nan, math.inf, "2"])
+    def test_is_real_above_zero(self, bad):
+        with pytest.raises(DomainError, match="^Law.beta must be a finite real > 0, got "):
+            shape("Law.beta", bad)
 
 
 class TestLogGamma:

@@ -5,8 +5,10 @@ built by ``with_variance`` start at beta = 0.0078: below that their scale
 underflows the normal floats and ``with_variance`` raises DomainError; laws
 built directly take scales in [1e-3, 1e3]. Unit-power fading laws take
 alpha in [0.3, 50] and mu in [0.2, 100], at SNRs in [1e-6, 1e12]. The CLI
-properties take any finite float for each numeric argument. Like
-tests/test_golden.py, this file needs neither numpy nor SciPy.
+properties take any finite float for each numeric argument. The shape
+properties take every positive float, on both sides of the floor of
+``numerics.shape``. Like tests/test_golden.py, this file needs neither numpy
+nor SciPy.
 """
 
 import math
@@ -25,6 +27,18 @@ SCENARIO = st.builds(secrecy.SecrecyScenario, SNR, SNR, BETA, BETA)
 FADING = st.builds(fading.unit_power, st.floats(0.3, 50.0), st.floats(0.2, 100.0))
 ERGODIC_SNR = st.floats(1e-6, 1e12)
 FINITE = st.floats(allow_nan=False, allow_infinity=False)
+FLOOR = 1.1718826319535557e-305  # the smallest shape whose ln Gamma(3/beta) is a float
+# each entry point that takes a shape, and the name its messages give that shape
+SHAPE_TAKERS = st.sampled_from([
+    (capacity.gap, "beta"),
+    (lambda beta: gg_noise.with_variance(beta, 1.0), "beta"),
+    (lambda beta: gg_noise.GGNoise(beta, 1.0), "GGNoise.beta"),
+    (lambda beta: secrecy.SecrecyScenario(1.0, 1.0, beta, 2.0), "SecrecyScenario.beta_sd"),
+    (lambda beta: secrecy.SecrecyScenario(1.0, 1.0, 2.0, beta), "SecrecyScenario.beta_se"),
+    (lambda beta: secrecy.secrecy_threshold(beta, 2.0, 1.0), "beta_sd"),
+    (lambda beta: secrecy.secrecy_threshold(2.0, beta, 1.0), "beta_se"),
+])
+FLOOR_MESSAGE = "is out of range: ln Gamma(3/beta) overflows a float"
 
 # the same 100 examples on every run, so the tier-1 suite stays deterministic
 closed_form = settings(max_examples=100, deadline=None, derandomize=True)
@@ -89,6 +103,29 @@ def test_rate_never_decreases_in_snr_sd(scenario, other):
 def test_threshold_never_raises(beta_sd, beta_se, snr_se):
     threshold = secrecy.secrecy_threshold(beta_sd, beta_se, snr_se)
     assert threshold >= 0.0 and not math.isnan(threshold)
+
+
+@closed_form
+@given(SHAPE_TAKERS, st.floats(0.0, FLOOR, exclude_min=True, exclude_max=True))
+def test_shape_below_the_floor_is_refused_by_name(taker, beta):
+    call, name = taker
+    try:
+        call(beta)
+    except DomainError as exc:
+        assert str(exc) == "%s=%r %s" % (name, beta, FLOOR_MESSAGE)
+    else:
+        raise AssertionError("%s=%r was accepted" % (name, beta))
+
+
+@closed_form
+@given(SHAPE_TAKERS, st.floats(min_value=FLOOR))
+def test_shape_at_or_above_the_floor_passes_the_floor(taker, beta):
+    # with_variance may still refuse a scale that underflows, and every check refuses inf
+    call, _ = taker
+    try:
+        call(beta)
+    except DomainError as exc:
+        assert FLOOR_MESSAGE not in str(exc)
 
 
 def ergodic_slack(bits):

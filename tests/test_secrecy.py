@@ -6,6 +6,9 @@ import pytest
 from uwacap import capacity, secrecy
 from uwacap.numerics import DomainError
 
+# shapes whose ln Gamma(3/beta) overflows a float, down to the smallest subnormal
+TINY_BETAS = [5e-324, 1e-320, math.nextafter(1.1718826319535557e-305, 0.0)]
+
 
 def random_scenarios(count, seed=101):
     rng = np.random.default_rng(seed)
@@ -26,6 +29,14 @@ class TestScenario:
     ])
     def test_invalid(self, kwargs):
         with pytest.raises(DomainError):
+            secrecy.SecrecyScenario(**kwargs)
+
+    @pytest.mark.parametrize("name", ["beta_sd", "beta_se"])
+    @pytest.mark.parametrize("beta", TINY_BETAS)
+    def test_log_gamma_overflow_names_the_shape(self, beta, name):
+        kwargs = {"snr_sd": 1.0, "snr_se": 1.0, "beta_sd": 2.0, "beta_se": 2.0, name: beta}
+        message = r"^SecrecyScenario.%s=%r is out of range: ln Gamma\(3/beta\) overflows" % (name, beta)
+        with pytest.raises(DomainError, match=message):
             secrecy.SecrecyScenario(**kwargs)
 
 
@@ -161,3 +172,10 @@ class TestThreshold:
         assert secrecy.secrecy_threshold(2.0, 1e-3, 10.0 ** 0.3) == math.inf
         for snr_sd in (1.0, 1e300, 1.7976931348623157e308):
             assert secrecy.secrecy_rate_awggn(secrecy.SecrecyScenario(snr_sd, 10.0 ** 0.3, 2.0, 1e-3)) == 0.0
+
+    @pytest.mark.parametrize("name", ["beta_sd", "beta_se"])
+    @pytest.mark.parametrize("beta", TINY_BETAS)
+    def test_log_gamma_overflow_names_the_shape(self, beta, name):
+        kwargs = {"beta_sd": 2.0, "beta_se": 2.0, "snr_se": 1.0, name: beta}
+        with pytest.raises(DomainError, match=r"^%s=%r is out of range: ln Gamma\(3/beta\) overflows" % (name, beta)):
+            secrecy.secrecy_threshold(**kwargs)
