@@ -9,13 +9,7 @@ more peaked, heavier-tailed law.
 import math
 import sys
 
-from .numerics import DomainError, Record, log_gamma, real, shape, to_units
-
-_EPS = sys.float_info.epsilon
-_TINY = 1e-300  # Lentz's stand-in for a zero denominator
-_LOG_X_MAX = math.log(sys.float_info.max)  # tail_radius never lets e**x overflow
-_MAX_STEPS = 200  # Newton and bisection steps of tail_radius
-_MAX_TERMS = 10_000  # series or continued-fraction terms of Q; enough for 1/beta up to about 1e6
+from .numerics import DomainError, Record, gamma_tail_log_quantile, log_gamma, real, shape, to_units
 
 
 class GGNoise(Record):
@@ -106,90 +100,17 @@ def entropy(law, units="nats"):
     return to_units(nats, units)
 
 
-def _log_q(a, y, log_gamma_a):
-    """ln Q(a, x) at x = e**y, with ln(x**a * e**-x / Gamma(a)) for its slope.
-
-    Q = 1 - P with P by its power series below x = a + 1 (DLMF 8.7.1);
-    above it, Q by Lentz's evaluation of its continued fraction (DLMF 8.9.2).
-    Either needs O(sqrt(a)) terms; past _MAX_TERMS it raises DomainError.
-    """
-    x = math.exp(y)
-    log_front = a * y - x - log_gamma_a
-    if x < a + 1.0:
-        term = total = 1.0 / a
-        for n in range(1, _MAX_TERMS):
-            term *= x / (a + n)
-            total += term
-            if term <= _EPS * total:
-                p = math.exp(log_front + math.log(total))
-                return (math.log1p(-p) if p < 1.0 else -math.inf), log_front
-    else:
-        b = x + 1.0 - a
-        c, d = 1.0 / _TINY, 1.0 / b
-        fraction = d
-        for i in range(1, _MAX_TERMS):
-            an = -i * (i - a)
-            b += 2.0
-            d = an * d + b
-            d = 1.0 / (d if abs(d) > _TINY else _TINY)
-            c = b + an / c
-            c = c if abs(c) > _TINY else _TINY
-            delta = c * d
-            fraction *= delta
-            if abs(delta - 1.0) <= _EPS:
-                return log_front + math.log(fraction), log_front
-    raise DomainError("beta=%r is out of range: Q(1/beta, x) needs more than %d terms" % (1.0 / a, _MAX_TERMS))
-
-
 def tail_radius(law, mass):
     """Radius t with P(|N - mean| > t) = mass: t = scale * x**(1/beta) where Q(1/beta, x) = mass.
 
-    Q is the regularized upper incomplete gamma function (``_log_q``). ln Q is
-    concave and decreasing in y = ln x, so Newton steps on ln Q - ln mass
-    from the right of the root never pass it. From the first guess
-    x = 1/beta - ln mass, y climbs in steps that double until it is right of
-    the root; then Newton steps inside the bisection bracket so found
-    converge to it. A y past 709, where e**x would overflow, no convergence
-    within 200 steps, a shape 1/beta past about 1e6 (too many terms of Q),
-    or a radius that leaves the positive floats, raises DomainError.
+    |N - mean| = scale * G**(1/beta) with G ~ Gamma(1/beta), so ln x is
+    ``numerics.gamma_tail_log_quantile(1/beta, mass)``, whose DomainErrors
+    pass through; a radius that leaves the positive floats raises one too.
     """
-    if not 0.0 < real("tail mass", mass) < 1.0:
-        raise DomainError("tail mass must lie in (0, 1), got %r" % (mass,))
     a = 1.0 / law.beta
-    log_gamma_a = log_gamma(a)
-    target = math.log(mass)
-
-    def excess(y):  # ln Q - ln mass at x = e**y, and its slope in y
-        log_q, log_front = _log_q(a, y, log_gamma_a)
-        return log_q - target, -math.exp(log_front - log_q)
-
-    lo, hi = -math.inf, math.inf  # the excess is > 0 at lo and < 0 at hi
-    # where P(a, x) = x**a / Gamma(a + 1) * (1 + O(x)) puts the root at a tiny x,
-    # as for a large beta at a moderate mass, that is the guess; else the tail's
-    y, reach = (math.log1p(-mass) + log_gamma(a + 1.0)) / a, 1.0
-    if y > -40.0:
-        y = math.log(a - target)
-    for _ in range(_MAX_STEPS):
-        if y > _LOG_X_MAX:
-            raise DomainError("beta=%r with tail mass %r is out of range: the radius overflows" % (law.beta, mass))
-        g, slope = excess(y)
-        if g == 0.0:
-            break
-        lo, hi = (y, hi) if g > 0.0 else (lo, y)
-        newton = y - g / slope
-        if hi == math.inf:  # left of the root a Newton step can overshoot without bound
-            step, reach = reach, 2.0 * reach
-        elif lo < newton < hi or abs(newton - y) <= _EPS * max(1.0, abs(y)):
-            step = newton - y
-        else:
-            step = 0.5 * (lo + hi) - y
-        y += step
-        if abs(step) <= _EPS * max(1.0, abs(y)):
-            break
-    else:
-        raise DomainError("beta=%r with tail mass %r is out of range: Q cannot be inverted" % (law.beta, mass))
+    y = gamma_tail_log_quantile(a, mass)
     try:
-        radius = law.scale * math.exp(a * y)
+        radius = law.scale * math.exp(a * y)  # a * y, not y / beta: the radii stay bit for bit
     except OverflowError:
         radius = math.inf
     if not 0.0 < radius < math.inf:

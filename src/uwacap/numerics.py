@@ -1,20 +1,24 @@
-"""Domain validation, log-gamma and quadrature tolerances shared by every other module.
+"""Domain validation, log-gamma, the incomplete gamma Q and quadrature shared by every other module.
 
-All gamma-function ratios used elsewhere go through ``log_gamma`` so that
-small shape parameters cannot overflow Gamma(1/beta). ``fading.unit_power``
-and the ergodic Gamma weight, where a difference of two log-gammas would
-cancel at large mu, write ln Gamma as Stirling's formula plus
-``stirling_remainder``, the one place that switches to Stirling's series
-(past 100). ``log_gamma`` is ``math.lgamma``, so no module of the package
-needs SciPy. ``integrate``, a double-exponential trapezoid rule over the
-whole real line, has no caller in the package (verify reads each density's
-mass from its panel grid); it stays until perfbench stops tracing it by name.
-``Record`` is the base of the package's frozen value types.
+All gamma-function ratios used elsewhere go through ``log_gamma``
+(``math.lgamma``, so no module needs SciPy), so that small shapes cannot
+overflow Gamma(1/beta). ``fading.unit_power`` and the ergodic Gamma weight,
+where two log-gammas would cancel at large mu, write ln Gamma as Stirling's
+formula plus ``stirling_remainder``, the one place that switches to Stirling's
+series (past 100). ``log_gamma_q``, ln Q(a, e**y) for the regularized upper
+incomplete gamma Q, and its inverse in y, ``gamma_tail_log_quantile``, take
+shapes a up to about 1e6 (``_MAX_TERMS``). Up to a = 1e4, ln Q is within
+2e-12 * max(1, |ln Q|) of mpmath, plus near x = a the rounding of a * y in its
+front factor (3e-11 at a = 1e4). ``integrate``, a double-exponential trapezoid
+rule over the whole real line, has no caller in the package (verify reads each
+density's mass from its panel grid); it stays until perfbench stops tracing it
+by name. ``Record`` is the base of the package's frozen value types.
 """
 
 import itertools
 import math
 import numbers
+import sys
 
 LN2 = math.log(2.0)
 
@@ -23,6 +27,11 @@ ABSOLUTE_TOLERANCE = 1e-12  # absolute tolerance of ``integrate``; the ergodic r
 MAX_EVALUATIONS = 100_000  # lattice terms per quadrature before QuadratureError
 _HALF_PI = 0.5 * math.pi
 _NEGLIGIBLE = 2.0**-53  # a tail below this fraction of the sum cannot change it
+_EPS = sys.float_info.epsilon
+_TINY = 1e-300  # Lentz's stand-in for a zero denominator
+_LOG_X_MAX = math.log(sys.float_info.max)  # gamma_tail_log_quantile never lets e**x overflow
+_MAX_STEPS = 200  # Newton and bisection steps of gamma_tail_log_quantile
+_MAX_TERMS = 10_000  # series or continued-fraction terms of Q; enough for shapes up to about 1e6
 
 
 class Record:
@@ -145,6 +154,84 @@ def stirling_remainder(x):
         m2 = 1.0 / (x * x)
         return (1.0 / 12.0 - m2 * (1.0 / 360.0 - m2 / 1260.0)) / x
     return log_gamma(x) - ((x - 0.5) * math.log(x) - x + 0.5 * math.log(2.0 * math.pi))
+
+
+def log_gamma_q(a, y, log_gamma_a):
+    """ln Q(a, x) at x = e**y, with ln(x**a * e**-x / Gamma(a)) for its slope; log_gamma_a is ln Gamma(a).
+
+    Q, the regularized upper incomplete gamma function of shape a > 0, is
+    1 - P with P by its power series below x = a + 1 (DLMF 8.7.1); above it,
+    Lentz's evaluation of its continued fraction (DLMF 8.9.2). Either needs
+    O(sqrt(a)) terms; past _MAX_TERMS it raises DomainError.
+    """
+    x = math.exp(y)
+    log_front = a * y - x - log_gamma_a
+    if x < a + 1.0:
+        term = total = 1.0 / a
+        for n in range(1, _MAX_TERMS):
+            term *= x / (a + n)
+            total += term
+            if term <= _EPS * total:
+                p = math.exp(log_front + math.log(total))
+                return (math.log1p(-p) if p < 1.0 else -math.inf), log_front
+    else:
+        b = x + 1.0 - a
+        c, d = 1.0 / _TINY, 1.0 / b
+        fraction = d
+        for i in range(1, _MAX_TERMS):
+            an = -i * (i - a)
+            b += 2.0
+            d = an * d + b
+            d = 1.0 / (d if abs(d) > _TINY else _TINY)
+            c = b + an / c
+            c = c if abs(c) > _TINY else _TINY
+            delta = c * d
+            fraction *= delta
+            if abs(delta - 1.0) <= _EPS:
+                return log_front + math.log(fraction), log_front
+    raise DomainError("Gamma shape a=%r is out of range: Q(a, x) needs more than %d terms" % (a, _MAX_TERMS))
+
+
+def gamma_tail_log_quantile(a, mass):
+    """y = ln x with Q(a, x) = mass, for a Gamma shape a > 0 and a tail mass in (0, 1).
+
+    ln Q (``log_gamma_q``) is concave and decreasing in y, so Newton steps on
+    ln Q - ln mass from the right of the root never pass it. From the first
+    guess x = a - ln mass, y climbs in steps that double until it is right of
+    the root; then Newton steps inside the bisection bracket so found converge
+    to it. A y past 709 (where e**x would overflow), no convergence within 200
+    steps or a shape past about 1e6 (too many terms of Q) raises DomainError.
+    """
+    mass = tolerance("tail mass", mass)
+    log_gamma_a = log_gamma(a)
+    target = math.log(mass)
+    lo, hi = -math.inf, math.inf  # the excess is > 0 at lo and < 0 at hi
+    # where P(a, x) = x**a / Gamma(a + 1) * (1 + O(x)) puts the root at a tiny x,
+    # as for a small shape at a moderate mass, that is the guess; else the tail's
+    y, reach = (math.log1p(-mass) + log_gamma(a + 1.0)) / a, 1.0
+    if y > -40.0:
+        y = math.log(a - target)
+    for _ in range(_MAX_STEPS):
+        if y > _LOG_X_MAX:
+            raise DomainError("Gamma shape a=%r with tail mass %r is out of range: e**y overflows" % (a, mass))
+        log_q, log_front = log_gamma_q(a, y, log_gamma_a)
+        g = log_q - target  # the excess ln Q - ln mass; its slope in y is -e**(front - ln Q)
+        if g == 0.0:
+            break
+        lo, hi = (y, hi) if g > 0.0 else (lo, y)
+        newton = y + g / math.exp(log_front - log_q)
+        if hi == math.inf:  # left of the root a Newton step can overshoot without bound
+            step, reach = reach, 2.0 * reach
+        elif lo < newton < hi or abs(newton - y) <= _EPS * max(1.0, abs(y)):
+            step = newton - y
+        else:
+            step = 0.5 * (lo + hi) - y
+        y += step
+        if abs(step) <= _EPS * max(1.0, abs(y)):
+            break
+    else:
+        raise DomainError("Gamma shape a=%r with tail mass %r is out of range: Q cannot be inverted" % (a, mass))
+    return y
 
 
 def to_units(nats, units):

@@ -8,15 +8,18 @@ from fractions import Fraction
 import mpmath
 import numpy as np
 import pytest
+from scipy import special
 
 import uwacap
 from uwacap import gg_noise, numerics
 from uwacap.numerics import (
     DomainError,
     QuadratureError,
+    gamma_tail_log_quantile,
     integer,
     integrate,
     log_gamma,
+    log_gamma_q,
     real,
     shape,
     stirling_remainder,
@@ -197,6 +200,43 @@ class TestLogGamma:
             lhs = log_gamma(x + 1.0)
             rhs = log_gamma(x) + math.log(x)
             assert abs(lhs - rhs) <= 1e-12 * max(1.0, abs(rhs))
+
+
+class TestLogGammaQ:
+    @pytest.mark.parametrize("a", [1e-3, 0.05, 0.5, 1.0, 3.3, 50.0, 1e3, 1e4])
+    def test_matches_mpmath(self, a):
+        # x from (a+1)/1024 to (a+1)*1024: both the series and the continued fraction, and the switch at a + 1
+        for k in range(-60, 61):
+            y = math.log((a + 1.0) * 2.0 ** (k / 6.0))
+            got, _ = log_gamma_q(a, y, log_gamma(a))
+            with mpmath.workdps(40):
+                exact = float(mpmath.log(mpmath.gammainc(a, mpmath.exp(y), mpmath.inf, regularized=True)))
+            assert abs(got - exact) <= 1e-11 * max(1.0, abs(exact)), (k, got, exact)
+
+    def test_front_factor(self):
+        a, y = 3.3, math.log(2.0)
+        _, log_front = log_gamma_q(a, y, log_gamma(a))
+        assert log_front == pytest.approx(a * y - 2.0 - math.lgamma(a), rel=1e-15)
+
+    def test_shape_past_the_term_limit_is_out_of_range(self):
+        # at x = a the series needs about sqrt(a) terms: far more than 10 000 at a = 1e9
+        with pytest.raises(DomainError, match="^Gamma shape a=1000000000.0 is out of range"):
+            log_gamma_q(1e9, math.log(1e9), log_gamma(1e9))
+        with pytest.raises(DomainError, match="out of range"):
+            gamma_tail_log_quantile(1e9, 0.5)
+
+
+class TestGammaTailLogQuantile:
+    @pytest.mark.parametrize("a", [1 / 0.3, 2.0, 1.25, 1.0, 1 / 1.5, 0.5, 1 / 3, 0.2, 0.1, 0.05, 50.0, 1e3])
+    def test_matches_inverse_incomplete_gamma(self, a):
+        for mass in (1e-300, 1e-100, 1e-30, 1e-10, 5e-11, 1e-8, 1e-3, 0.1, 0.5, 0.9, 0.999):
+            y = gamma_tail_log_quantile(a, mass)
+            assert math.exp(y) == pytest.approx(special.gammainccinv(a, mass), rel=1e-13)
+
+    @pytest.mark.parametrize("mass", [0.0, 1.0, -0.5, math.nan, "abc", None])
+    def test_invalid_mass(self, mass):
+        with pytest.raises(DomainError, match="^tail mass must"):
+            gamma_tail_log_quantile(1.0, mass)
 
 
 class TestStirlingRemainder:

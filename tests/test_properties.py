@@ -7,8 +7,9 @@ built directly take scales in [1e-3, 1e3]. Unit-power fading laws take
 alpha in [0.3, 50] and mu in [0.2, 100], at SNRs in [1e-6, 1e12]. The CLI
 properties take any finite float for each numeric argument. The shape
 properties take every positive float, on both sides of the floor of
-``numerics.shape``. Like tests/test_golden.py, this file needs neither numpy
-nor SciPy.
+``numerics.shape``. The Gamma tail quantile takes shapes a in [1e-3, 1e4]
+and tail masses in [1e-300, 0.999]. Like tests/test_golden.py, this file
+needs neither numpy nor SciPy.
 """
 
 import math
@@ -18,7 +19,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from uwacap import capacity, cli, fading, gg_noise, secrecy
-from uwacap.numerics import ABSOLUTE_TOLERANCE, DEFAULT_RTOL, LN2, DomainError
+from uwacap.numerics import (
+    ABSOLUTE_TOLERANCE,
+    DEFAULT_RTOL,
+    LN2,
+    DomainError,
+    gamma_tail_log_quantile,
+    log_gamma,
+    log_gamma_q,
+)
 
 BETA = st.floats(1e-3, 20.0)
 BETA_WITH_VARIANCE = st.floats(0.0078, 20.0)
@@ -126,6 +135,21 @@ def test_shape_at_or_above_the_floor_passes_the_floor(taker, beta):
         call(beta)
     except DomainError as exc:
         assert FLOOR_MESSAGE not in str(exc)
+
+
+@closed_form
+@given(st.floats(1e-3, 1e4), st.floats(1e-300, 0.999))
+def test_gamma_tail_log_quantile_round_trips_or_is_out_of_range(a, mass):
+    try:
+        y = gamma_tail_log_quantile(a, mass)
+    except DomainError as exc:
+        assert "out of range" in str(exc)
+    else:
+        log_q, _ = log_gamma_q(a, y, log_gamma(a))
+        target = math.log(mass)
+        # ln Q carries the rounding of a * y in its front factor: 1.5e-11 near x = a at a = 1e4,
+        # where |ln mass| < 1 (seen at a = 9268, mass = 0.41 in a 10**5-point random sweep)
+        assert abs(log_q - target) <= 1e-11 * max(1.0, abs(target)) + 2.0 * math.ulp(a * y)
 
 
 def ergodic_slack(bits):

@@ -26,6 +26,11 @@ class TestDensityGrid:
         with pytest.raises(DomainError):
             verify.DensityGrid([0.0, 1.0], [1.0, 1.0], 1e-8, weights)
 
+    @pytest.mark.parametrize("truncation_mass", [0.0, 1.0, math.nan, "1e-8", None])
+    def test_rejects_bad_truncation_mass(self, truncation_mass):
+        with pytest.raises(DomainError, match="^truncation_mass must be a finite real"):
+            verify.DensityGrid([0.0, 1.0], [1.0, 1.0], truncation_mass, [0.5, 0.5])
+
     def test_rejects_lost_mass(self):
         points = np.linspace(-1.0, 1.0, 100)
         weights = verify._trapezoid_weights(points)
@@ -181,7 +186,7 @@ class TestOutputDensity:
         assert 1.0 - 1e-9 <= grid.mass <= 1.0 + 1e-12
 
     def test_requires_positive_power(self):
-        with pytest.raises(DomainError):
+        with pytest.raises(DomainError, match=r"^signal_power must be a finite real > 0, got 0.0$"):
             verify.output_density(capacity.ChannelConfig(0.0, gg.GGNoise(2.0, 1.0)))
 
     def test_unlanded_mass_raises(self, monkeypatch):
