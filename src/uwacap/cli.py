@@ -26,7 +26,7 @@ from .capacity import (
     gap,
 )
 from .config import SimConfig
-from .numerics import DEFAULT_RTOL, DomainError, QuadratureError
+from .numerics import DEFAULT_RTOL, DomainError, QuadratureError, integer
 from .secrecy import (
     SecrecyScenario,
     secrecy_positive,
@@ -36,7 +36,7 @@ from .secrecy import (
 
 
 _MAX_ROWS = 10**7  # the most range values or draws one command may build
-_BLOCK = 1 << 14  # draws that `sample` checks, formats and writes at a time
+_BLOCK = 1 << 13  # draws that `sample` checks, formats and writes at a time
 
 
 def _capped(what, count):
@@ -156,11 +156,13 @@ def cmd_secrecy(args, config):
 def cmd_sample(args, config):
     import numpy as np  # the samplers load it anyway
 
+    from ._rows import format_9g  # compiled only for the command that writes rows
+
     if args.law == "gg":
         module, law = _gg, _gg.GGNoise(beta=args.beta, scale=args.scale, mean=args.mean)
     else:
         module, law = _fading, _fading.AlphaMuFading(alpha=args.alpha, mu=args.mu, h_root=args.h_root)
-    count = _capped("--count", args.count)
+    count = _capped("--count", integer("--count", args.count, 1))
     with warnings.catch_warnings():  # process-wide, so it also quiets the worker threads
         warnings.simplefilter("ignore", RuntimeWarning)
         draws = module.sample(law, config.seed, count, threads=config.threads)
@@ -171,8 +173,7 @@ def cmd_sample(args, config):
     def blocks():
         yield "value\n"
         for start in range(0, count, _BLOCK):
-            block = draws[start:start + _BLOCK].tolist()
-            yield "%.9g\n" * len(block) % tuple(block)
+            yield format_9g(draws[start:start + _BLOCK])
 
     return 0, blocks(), ""
 
@@ -270,7 +271,7 @@ def main(argv=None):
         args = _parse(argv)
         config = SimConfig(
             seed=args.seed,
-            samples=_capped("--samples", args.samples),
+            samples=_capped("--samples", integer("--samples", args.samples, 1)),
             quad_rtol=args.quad_rtol,
             threads=args.threads,
         )

@@ -279,6 +279,14 @@ class TestSampleCommand:
         assert err.count("\n") == 1
         assert flags[0].lstrip("-") in err
 
+    @pytest.mark.parametrize(
+        "argv,flag",
+        [(["sample", "--law", "gg", "--count", "0"], "--count"), (["--samples", "0", "gap", "1"], "--samples")],
+        ids=["count", "samples"],
+    )
+    def test_size_below_one_names_the_flag(self, capsys, argv, flag):
+        assert run_cli(capsys, *argv) == (1, "", "usage error: %s must be an integer >= 1, got 0\n" % flag)
+
     @pytest.mark.parametrize("command", [["gap", "1"], ["sample", "--law", "gg", "--count", "10"]], ids=["gap", "sample"])
     @pytest.mark.parametrize("flags", [["--bogus", "8"], ["--chunks", "8"], ["--chunks=8"], ["-x", "8"]])
     def test_unknown_global_flag_is_named(self, capsys, flags, command):
