@@ -35,19 +35,21 @@ _PYTHON = _EXP + _HIGH - _LOW + 1  # "%.9g"
 _COLUMNS = 6
 
 
-def _digits(count, width):
-    """ASCII digits of 0 .. count - 1 at ``width``: every digit, leading zeros blank, trailing zeros blank."""
-    v = np.arange(count)[:, None]
-    place = 10 ** np.arange(width - 1, -1, -1)
-    digits = (v // place % 10 + ord("0")).astype(np.uint8)
-    return digits, np.where(v >= place, digits, 0), np.where(v % (10 * place) != 0, digits, 0)
+def _digits(width):
+    """ASCII digits of 0 .. 10**width - 1: every digit, leading zeros blank, trailing zeros blank."""
+    digits = np.indices((10,) * width, dtype=np.uint8).reshape(width, -1).T
+    zero = digits == 0
+    digits += ord("0")
+    lead = np.where(np.logical_and.accumulate(zero, axis=1), 0, digits)
+    trail = np.where(np.logical_and.accumulate(zero[:, ::-1], axis=1)[:, ::-1], 0, digits)
+    return digits, lead, trail
 
 
 @functools.cache
 def _tables():
     """The piece table, and per e - _LOW: the two scaling factors, the fraction split and the last column."""
-    full, lead, trail = _digits(10_000, 4)
-    full3, lead3, _ = _digits(1000, 3)
+    full, lead, trail = _digits(4)
+    full3, lead3, _ = _digits(3)
     low3 = [np.pad(d, ((0, 0), (0, 1)), constant_values=dot) for dot in (0, ord(".")) for d in (full3, lead3)]
     signs = ["\n" + "-" * neg + str(d or "") for d in range(100) for neg in (0, 1)] + ["\n0", "\n-0"]
     small = signs + ["e%+03d" % e for e in range(_LOW, _HIGH + 1)] + ["%.9g"]
@@ -78,15 +80,15 @@ def format_9g(values):
     table, scale, split, last = _tables()
     a = np.abs(x)
     python = ~((a >= 1e-14) & (a < 1e31))  # zeros, nan and inf too
+    if python.all():  # no row for the vector path, so none of its arithmetic
+        return "%.9g\n" * len(x) % tuple(x.tolist())
     a[python] = 1.0
     i = np.clip(np.floor(np.log10(a)) - _LOW, 0, _HIGH - _LOW).astype(np.intp)  # e - _LOW
     m, scaled = _mantissa(a, i, scale)
     # log10 may miss e by one near a power of ten, and rounding may carry m to 10**9
     off = np.flatnonzero((m < 1e8) | (m >= 1e9))
-    if off.size:
-        i[off] += np.where(m[off] < 1e8, -1, 1)
-        python[off] |= (i[off] < 0) | (i[off] > _HIGH - _LOW)
-        i[off] = np.clip(i[off], 0, _HIGH - _LOW)
+    if off.size:  # a step past _LOW or _HIGH is clipped back, and its m stays off: Python writes it
+        i[off] = np.clip(i[off] + np.where(m[off] < 1e8, -1, 1), 0, _HIGH - _LOW)
         m[off], scaled[off] = _mantissa(a[off], i[off], scale)
         python[off] |= (m[off] < 1e8) | (m[off] >= 1e9)
     python |= np.abs(scaled - m) > _TIE

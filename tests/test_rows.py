@@ -33,7 +33,7 @@ def test_empty_and_non_finite():
 
 
 def test_decimal_ties():
-    # (k + 1/2) * 10**j has a tenth digit of 5 at every scale of the vector path and past it
+    # at or a few ulps from a tie of the 9-digit rounding, at every scale of the vector path and past it
     k = np.arange(100_000_000, 100_000_000 + 2000, dtype=np.float64)
     for j in range(-24, 33):
         assert_rows((k + 0.5) * 10.0 ** (j - 8))
@@ -63,9 +63,11 @@ def test_seeded_sweep():
     assert_rows(rng.integers(0, 2**64, 100_000, dtype=np.uint64).view(np.float64))  # every exponent, nan and inf
 
 
-def test_block_where_every_row_is_written_by_python():
-    # 3-digit exponents, subnormals and +-0 all leave the vector path
+def test_rows_written_by_python():
+    # 3-digit exponents, subnormals and +-0 leave the vector path: a block of only these, then one of every other row
     rng = np.random.default_rng(7)
     values = rng.standard_normal(5000) * np.array([1e-200, 1e200, 1e-320, 0.0, 1e-15])[rng.integers(0, 5, 5000)]
     assert_rows(values)
     assert "e-2" in format_9g(values) and "e+2" in format_9g(values)
+    values[::2] = rng.standard_normal(2500)
+    assert_rows(values)
