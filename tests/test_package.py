@@ -38,16 +38,6 @@ def test_cli_import_leaves_dataclasses_unloaded():
     assert run_fresh("import sys, uwacap.cli; print('dataclasses' in sys.modules)") == "False\n"
 
 
-def test_only_sample_loads_the_row_writer():
-    # uwacap._rows is compiled on each cold call where bytecode is not written; only `sample` needs it
-    code = (
-        "import sys, uwacap.cli, uwacap.verify\n"
-        "uwacap.verify.run_checks(uwacap.SimConfig(samples=1000), quick=True)\n"
-        "print('uwacap._rows' in sys.modules)"
-    )
-    assert run_fresh(code) == "False\n"
-
-
 # (type, positional arguments, the same as keywords, repr with the defaults filled in)
 VALUES = [
     (GGNoise, (0.005, 1.0), {"beta": 0.005, "scale": 1.0}, "GGNoise(beta=0.005, scale=1.0, mean=0.0)"),

@@ -1,10 +1,16 @@
 """``_rows.format_9g`` against Python's own ``"%.9g\\n"``, row for row."""
 
+import os
+import pathlib
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import uwacap
 from uwacap._rows import format_9g
 
 
@@ -71,3 +77,16 @@ def test_rows_written_by_python():
     assert "e-2" in format_9g(values) and "e+2" in format_9g(values)
     values[::2] = rng.standard_normal(2500)
     assert_rows(values)
+
+
+def test_only_sample_loads_the_row_writer():
+    # uwacap._rows is compiled on each cold call where bytecode is not written; only `sample` needs it
+    code = (
+        "import sys, uwacap.cli, uwacap.verify\n"
+        "uwacap.verify.run_checks(uwacap.SimConfig(samples=1000), quick=True)\n"
+        "print('uwacap._rows' in sys.modules)"
+    )
+    src = str(pathlib.Path(uwacap.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    run = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert run.stdout == "False\n"
