@@ -15,8 +15,8 @@ path:
   leading or trailing zeros are NUL bytes, the padding one ``translate`` drops.
 
 Zeros, non-finite values, exponents outside [-14, 30] and near-ties are
-written by Python's own ``"%.9g\\n"`` in their place: their rows hold that
-format, and one ``%`` fills them all.
+written by Python's own ``"%.9g"`` into their rows, which hold any of its
+texts: at most 16 characters.
 """
 
 import functools
@@ -31,7 +31,6 @@ _FULL, _LEAD, _TRAIL = 0, 10_000, 20_000  # 4 digits: every one, leading zeros b
 _LOW3 = 30_000  # 4 * 1000: 3 digits, every one or leading zeros blank, then "." or not
 _SIGN = _LOW3 + 4000  # newline, sign, 2 leading integer digits (2 * digits + neg); then newline, sign, "0"
 _EXP = _SIGN + 202  # "e-14" ... "e+30"
-_PYTHON = _EXP + _HIGH - _LOW + 1  # "%.9g"
 _COLUMNS = 6
 
 
@@ -52,7 +51,7 @@ def _tables():
     full3, lead3, _ = _digits(3)
     low3 = [np.pad(d, ((0, 0), (0, 1)), constant_values=dot) for dot in (0, ord(".")) for d in (full3, lead3)]
     signs = ["\n" + "-" * neg + str(d or "") for d in range(100) for neg in (0, 1)] + ["\n0", "\n-0"]
-    small = signs + ["e%+03d" % e for e in range(_LOW, _HIGH + 1)] + ["%.9g"]
+    small = signs + ["e%+03d" % e for e in range(_LOW, _HIGH + 1)]
     small = np.frombuffer(b"".join(t.encode().ljust(4, b"\0") for t in small), np.uint8)
     table = np.concatenate([np.concatenate([full, lead, trail, *low3]).ravel(), small]).view(np.uint32)
 
@@ -118,9 +117,10 @@ def format_9g(values):
     put(3, f0 + _TRAIL * (rest == 0))
     put(4, f1 + _TRAIL * (f2 == 0))
     put(5, last[i] + f2)
-    pieces[python] = table[[_SIGN] + [_LEAD] * 4 + [_PYTHON]]
+    if python.any():
+        text = b"".join(("\n%.9g" % v).encode().ljust(4 * _COLUMNS, b"\0") for v in x[python].tolist())
+        pieces[python] = np.frombuffer(text, dtype=np.uint32).reshape(-1, _COLUMNS)
     rows = rows.translate(None, b"\0")
     del rows[:1]
     rows += b"\n"
-    text = rows.decode("ascii")
-    return text % tuple(x[python].tolist()) if python.any() else text
+    return rows.decode("ascii")
