@@ -84,13 +84,12 @@ def format_9g(values):
     a[python] = 1.0
     i = np.clip(np.floor(np.log10(a)) - _LOW, 0, _HIGH - _LOW).astype(np.intp)  # e - _LOW
     m, scaled = _mantissa(a, i, scale)
-    # log10 may miss e by one near a power of ten, and rounding may carry m to 10**9
-    off = np.flatnonzero((m < 1e8) | (m >= 1e9))
-    if off.size:  # a step past _LOW or _HIGH is clipped back, and its m stays off: Python writes it
-        i[off] = np.clip(i[off] + np.where(m[off] < 1e8, -1, 1), 0, _HIGH - _LOW)
+    # log10 may fall one short of e near a power of ten, and rounding may carry m to 10**9: one step up
+    off = np.flatnonzero(m >= 1e9)
+    if off.size:
+        i[off] = np.minimum(i[off] + 1, _HIGH - _LOW)
         m[off], scaled[off] = _mantissa(a[off], i[off], scale)
-        python[off] |= (m[off] < 1e8) | (m[off] >= 1e9)
-    python |= np.abs(scaled - m) > _TIE
+    python |= (m < 1e8) | (m >= 1e9) | (np.abs(scaled - m) > _TIE)  # also past _HIGH, or past e from log10
 
     unit = split[0][i]
     whole = np.floor(m / unit)
