@@ -14,8 +14,9 @@ path:
 - each row is written into fixed 4-byte columns from digit tables whose
   leading or trailing zeros are NUL bytes, the padding one ``translate`` drops.
 
-Zeros, non-finite values, exponents outside [-14, 30] and near-ties are
-written by Python's own ``"%.9g"`` into their rows, which hold any of its
+Zeros, non-finite values, exponents outside [-14, 30], near-ties and rows
+whose m falls outside [10**8, 10**9) (log10 missed e, or m carried to 10**9)
+are written by Python's own ``"%.9g"`` into their rows, which hold any of its
 texts: at most 16 characters.
 """
 
@@ -65,12 +66,6 @@ def _tables():
     return table, scale, split, last
 
 
-def _mantissa(a, i, scale):
-    """rint(|x| * 10**(8 - e)) and the value it rounds, for i = e - _LOW."""
-    scaled = a * scale[0][i] / scale[1][i]  # one of the two factors is 1, so one rounding
-    return np.rint(scaled), scaled
-
-
 def format_9g(values):
     """``"".join("%.9g\\n" % v for v in values)`` for a 1-d float array, built with numpy."""
     x = np.asarray(values, dtype=np.float64)
@@ -83,13 +78,10 @@ def format_9g(values):
         return "%.9g\n" * len(x) % tuple(x.tolist())
     a[python] = 1.0
     i = np.clip(np.floor(np.log10(a)) - _LOW, 0, _HIGH - _LOW).astype(np.intp)  # e - _LOW
-    m, scaled = _mantissa(a, i, scale)
-    # log10 may fall one short of e near a power of ten, and rounding may carry m to 10**9: one step up
-    off = np.flatnonzero(m >= 1e9)
-    if off.size:
-        i[off] = np.minimum(i[off] + 1, _HIGH - _LOW)
-        m[off], scaled[off] = _mantissa(a[off], i[off], scale)
-    python |= (m < 1e8) | (m >= 1e9) | (np.abs(scaled - m) > _TIE)  # also past _HIGH, or past e from log10
+    scaled = a * scale[0][i] / scale[1][i]  # |x| * 10**(8 - e): one of the two factors is 1, so one rounding
+    m = np.rint(scaled)
+    # near a power of ten log10 may miss e, and rounding may carry m to 10**9: Python writes those rows
+    python |= (m < 1e8) | (m >= 1e9) | (np.abs(scaled - m) > _TIE)
 
     unit = split[0][i]
     whole = np.floor(m / unit)

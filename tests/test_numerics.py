@@ -219,15 +219,12 @@ class TestLogGammaQ:
         points = [(a, 0.00075) for a in (8282.0, 8275.827067669174)]
         points += [(float(a), 0.00075) for a in np.geomspace(1e3, 1e4, 150)]
         points += [(float(a), dy) for a in np.geomspace(1e3, 1e4, 12) for dy in (-0.02, -0.002, 0.0, 0.002, 0.02)]
-        worst = 0.0
         for a, dy in points:
             y = math.log(a) + dy
             got, _ = log_gamma_q(a, y, log_gamma(a))
             with mpmath.workdps(40):
                 exact = float(mpmath.log(mpmath.gammainc(a, mpmath.exp(y), mpmath.inf, regularized=True)))
             assert abs(got - exact) <= 2e-12 * max(1.0, abs(exact)) + 3e-11, (a, dy, got, exact)
-            worst = max(worst, abs(got - exact))
-        assert worst > 1e-11  # the sweep reaches the front factor's rounding, which the bound is there for
 
     def test_front_factor(self):
         a, y = 3.3, math.log(2.0)

@@ -47,9 +47,11 @@ def test_decimal_ties():
 
 
 def test_neighbours_of_powers_and_of_carries():
-    # 10**j may be missed by log10, and 9.9999999995 * 10**j rounds up to the next power
+    # 10**j may be missed by log10; 9.999999995 * 10**j is a 9-digit tie that carries to the next power,
+    # and 9.9999999995 * 10**j and 9.999999999 * 10**j round up to it
+    carries = (9.999999995, 9.9999999995, 9.999999999, 9.9999999994999)
     for j in range(-30, 40):
-        for x in (10.0**j, 9.9999999995 * 10.0**j, 9.999999999 * 10.0**j, 9.9999999994999 * 10.0**j):
+        for x in (10.0**j, *(c * 10.0**j for c in carries)):
             below = np.nextafter(x, 0.0)
             above = np.nextafter(x, np.inf)
             assert_rows([x, below, above, np.nextafter(below, 0.0), np.nextafter(above, np.inf), -x, -below])
