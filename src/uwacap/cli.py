@@ -7,11 +7,12 @@ builds its whole output (`sample` checks every draw, then streams its rows)
 and returns it with its exit code and stderr note to `main`, the one writer,
 so a usage error leaves stdout empty, no --out file and one stderr line.
 
-Exit codes: 0 success, 1 usage error, 2 numeric non-convergence,
-3 verification failure.
+Exit codes: 0 success, 1 usage error (including an output that cannot be
+written), 2 numeric non-convergence, 3 verification failure.
 """
 
 import argparse
+import contextlib
 import math
 import os
 import sys
@@ -26,7 +27,7 @@ from .capacity import (
     gap,
 )
 from .config import SimConfig
-from .numerics import DEFAULT_RTOL, DomainError, QuadratureError, integer
+from .numerics import DEFAULT_RTOL, DomainError, QuadratureError, integer, to_units
 from .secrecy import (
     SecrecyScenario,
     secrecy_positive,
@@ -36,7 +37,7 @@ from .secrecy import (
 
 
 _MAX_ROWS = 10**7  # the most range values or draws one command may build
-_BLOCK = 1 << 13  # draws that `sample` checks, formats and writes at a time
+_BLOCK = 1 << 13  # draws that `sample` formats and writes at a time
 
 
 def _capped(what, count):
@@ -97,31 +98,35 @@ def _emit(chunks, out):
     """Write the text pieces `chunks` in order to stdout or to the file `out`.
 
     Each piece is written before the next is taken, so a generator of blocks
-    is never held whole. A reader that closes stdout early ends the output
-    quietly: stdout then points at the null device, so the flush at exit
-    cannot fail either, and the command keeps its exit code.
+    is never held whole. A target that cannot be written (a stdout closed at
+    start or on a full device, an `--out` path in a missing directory) is a
+    usage error that names it, except a reader that closes stdout early: that
+    ends the output quietly, and the command keeps its exit code. A failed
+    stdout then points at the null device, so the flush at exit cannot fail
+    a second time.
     """
-    if out in (None, "-", "stdout"):
-        try:
+    stdout = out in (None, "-", "stdout")
+    if stdout and sys.stdout is None:
+        raise DomainError("cannot write stdout: it is closed")
+    try:
+        with (contextlib.nullcontext(sys.stdout) if stdout else open(out, "w", newline="")) as fh:
             for chunk in chunks:
-                sys.stdout.write(chunk)
-            sys.stdout.flush()
-        except BrokenPipeError:
+                fh.write(chunk)
+            fh.flush()
+    except OSError as exc:
+        if stdout:
             os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
-    else:
-        try:
-            with open(out, "w", newline="") as fh:
-                for chunk in chunks:
-                    fh.write(chunk)
-        except OSError as exc:
-            raise DomainError("cannot write %s: %s" % (out, exc.strerror or exc))
+            if isinstance(exc, BrokenPipeError):
+                return
+        raise DomainError("cannot write %s: %s" % ("stdout" if stdout else out, exc.strerror or exc))
 
 
 def cmd_gap(args, config):
     betas = sorted(args.betas)
     if not betas:
         raise DomainError("gap requires at least one beta value")
-    return 0, [_csv("beta,gap_bits,gap_nats", [(b, gap(b, "bits"), gap(b, "nats")) for b in betas])], ""
+    nats = [gap(b, "nats") for b in betas]
+    return 0, [_csv("beta,gap_bits,gap_nats", [(b, to_units(g, "bits"), g) for b, g in zip(betas, nats)])], ""
 
 
 def _bounds_sweep(args, bounds_at):
@@ -154,8 +159,6 @@ def cmd_secrecy(args, config):
 
 
 def cmd_sample(args, config):
-    import numpy as np  # the samplers load it anyway
-
     from ._rows import format_9g  # compiled only for the command that writes rows
 
     if args.law == "gg":
@@ -166,8 +169,8 @@ def cmd_sample(args, config):
     with warnings.catch_warnings():  # process-wide, so it also quiets the worker threads
         warnings.simplefilter("ignore", RuntimeWarning)
         draws = module.sample(law, config.seed, count, threads=config.threads)
-    # a block at a time, so no mask the size of the draws is built; all before the first row is written
-    if not all(np.isfinite(draws[start:start + _BLOCK]).all() for start in range(0, count, _BLOCK)):
+    # two reductions, non-finite if any draw is NaN or +-inf; neither allocates, and both run before the first row
+    if not (math.isfinite(draws.min()) and math.isfinite(draws.max())):
         raise DomainError("draws of %r lie beyond the float range" % (law,))
 
     def blocks():

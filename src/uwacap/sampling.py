@@ -4,7 +4,6 @@ Each chunk draws from an independent stream derived from (seed, chunk index),
 so output depends only on (seed, count, chunks) and not on thread count.
 """
 
-import itertools
 import math
 from concurrent.futures import ThreadPoolExecutor
 
@@ -39,12 +38,6 @@ def check_gamma_zeros(law, shape, power, divisor=1.0):
         )
 
 
-def chunk_sizes(count, chunks):
-    chunks = integer("chunks", chunks, 1)
-    base, extra = divmod(integer("count", count, 1), chunks)
-    return [base + (1 if i < extra else 0) for i in range(chunks)]
-
-
 def chunked_draw(draw, seed, count, chunks=8, threads=1):
     """``count`` variates, drawn chunk by chunk into one preallocated array.
 
@@ -52,14 +45,15 @@ def chunked_draw(draw, seed, count, chunks=8, threads=1):
     place. Each chunk owns the slice at its offset, so any thread count yields
     identical output, and the output is allocated once and never copied.
     """
-    sizes = chunk_sizes(count, chunks)
+    chunks = integer("chunks", chunks, 1)
+    base, extra = divmod(integer("count", count, 1), chunks)
     seed, threads = integer("seed", seed, 0), integer("threads", threads, 1)
-    edges = [0, *itertools.accumulate(sizes)]
+    edges = [i * base + min(i, extra) for i in range(chunks + 1)]  # the first `extra` chunks draw one more
     out = np.empty(edges[-1])
 
     def one(i):
         draw(chunk_rng(seed, i), out[edges[i] : edges[i + 1]])
 
     with ThreadPoolExecutor(max_workers=threads) as pool:
-        list(pool.map(one, range(len(sizes))))  # consumed, so a chunk's error is raised here
+        list(pool.map(one, range(chunks)))  # consumed, so a chunk's error is raised here
     return out

@@ -604,3 +604,37 @@ class TestOutputFile:
             assert err.startswith("usage error: cannot write %s: " % target), argv
             assert err.count("\n") == 1 and err.endswith("\n"), (argv, err)
             assert not target.parent.exists()
+
+    @staticmethod
+    def run_process(argv, **kwargs):
+        src = str(pathlib.Path(cli.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        return subprocess.run(
+            [sys.executable, "-m", "uwacap.cli", *argv], stderr=subprocess.PIPE, env=env, timeout=120, **kwargs
+        )
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["gap", "1"],
+            ["secrecy", "--beta-sd", "1", "--beta-se", "2", "--snr-se-db", "0", "--snr-sd-db", "0"],
+            ["sample", "--law", "gg", "--count", "100000"],
+            ["verify", "--quick"],
+        ],
+        ids=["gap", "secrecy", "sample", "verify"],
+    )
+    def test_full_stdout_is_usage_error(self, argv):
+        # a stdout on a full device is one usage error line, not a traceback; secrecy writes no threshold note
+        with open("/dev/full", "w") as full:
+            proc = self.run_process(argv, stdout=full)
+        assert proc.returncode == 1, proc.stderr
+        assert proc.stderr.startswith(b"usage error: cannot write stdout: "), proc.stderr
+        assert proc.stderr.count(b"\n") == 1 and proc.stderr.endswith(b"\n"), proc.stderr
+
+    @pytest.mark.skipif(os.name != "posix", reason="closes fd 1 before exec")
+    def test_closed_stdout_is_usage_error(self):
+        # `uwacap gap 1 >&-`: Python starts with sys.stdout None
+        proc = self.run_process(["gap", "1"], preexec_fn=lambda: os.close(1))
+        assert proc.returncode == 1, proc.stderr
+        assert proc.stderr == b"usage error: cannot write stdout: it is closed\n"

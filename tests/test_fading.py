@@ -50,7 +50,7 @@ class TestSampling:
     )
     def test_draws_are_the_chunkwise_expression_bit_for_bit(self, law, count, chunks, threads):
         inv, parts = 1.0 / law.alpha, []
-        for i, n in enumerate(sampling.chunk_sizes(count, chunks)):
+        for i, n in enumerate(map(len, np.array_split(np.empty(count), chunks))):
             g = sampling.chunk_rng(5, i).standard_gamma(law.mu, n)
             parts.append(law.h_root * (g / law.mu) ** inv)
         expected = np.concatenate(parts)
