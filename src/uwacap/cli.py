@@ -8,7 +8,8 @@ and returns it with its exit code and stderr note to `main`, the one writer,
 so a usage error leaves stdout empty, no --out file and one stderr line.
 
 Exit codes: 0 success, 1 usage error (including an output that cannot be
-written), 2 numeric non-convergence, 3 verification failure.
+written), 2 numeric non-convergence, 3 verification failure. A closed or
+full stderr gets nothing and changes no exit code.
 """
 
 import argparse
@@ -115,7 +116,9 @@ def _emit(chunks, out):
             fh.flush()
     except OSError as exc:
         if stdout:
-            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+            null = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(null, sys.stdout.fileno())
+            os.close(null)
             if isinstance(exc, BrokenPipeError):
                 return
         raise DomainError("cannot write %s: %s" % ("stdout" if stdout else out, exc.strerror or exc))
@@ -123,8 +126,6 @@ def _emit(chunks, out):
 
 def cmd_gap(args, config):
     betas = sorted(args.betas)
-    if not betas:
-        raise DomainError("gap requires at least one beta value")
     nats = [gap(b, "nats") for b in betas]
     return 0, [_csv("beta,gap_bits,gap_nats", [(b, to_units(g, "bits"), g) for b, g in zip(betas, nats)])], ""
 
@@ -213,7 +214,7 @@ def build_parser():
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("gap", help="capacity gap f(beta) per shape value")
-    p.add_argument("betas", type=float, nargs="*", help="shape values")
+    p.add_argument("betas", type=float, nargs="+", help="shape values")
     p.set_defaults(func=cmd_gap)
 
     p = sub.add_parser("capacity", help="AWGGN capacity sandwich over an SNR sweep")
@@ -279,18 +280,15 @@ def main(argv=None):
             threads=args.threads,
         )
         code, chunks, note = args.func(args, config)
-        _emit(chunks, args.out)
-        sys.stderr.write(note)  # after the table, so a failed write leaves the usage error alone
-        return code
+        _emit(chunks, args.out)  # a failed write makes its usage error the only note
     except DomainError as exc:
-        sys.stderr.write("usage error: %s\n" % exc)
-        return 1
+        code, note = 1, "usage error: %s\n" % exc
     except QuadratureError as exc:
-        sys.stderr.write(
-            "quadrature failure: %s (estimate=%r, error=%r)\n"
-            % (exc, exc.estimate, exc.error_indicator)
-        )
-        return 2
+        code, note = 2, "quadrature failure: %s (estimate=%r, error=%r)\n" % (exc, exc.estimate, exc.error_indicator)
+    if note and sys.stderr is not None:  # a closed or full stderr gets nothing and keeps the code
+        with contextlib.suppress(OSError):
+            sys.stderr.write(note)
+    return code
 
 
 def run():

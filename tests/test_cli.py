@@ -1,3 +1,4 @@
+import errno
 import math
 import os
 import pathlib
@@ -11,6 +12,7 @@ import pytest
 
 from uwacap import capacity, cli, fading, gg_noise, verify
 from uwacap.cli import main
+from uwacap.numerics import DomainError, QuadratureError
 
 
 def run_cli(capsys, *argv):
@@ -577,6 +579,13 @@ class TestQuadRtol:
         assert len(parse_csv(out)[1]) == 3
 
 
+class FullStream:
+    """A stderr on a full device: every write fails with ENOSPC."""
+
+    def write(self, text):
+        raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+
 class TestOutputFile:
     def test_out_flag_writes_lf_file(self, tmp_path, capsys):
         target = tmp_path / "gap.csv"
@@ -606,11 +615,11 @@ class TestOutputFile:
             assert not target.parent.exists()
 
     @staticmethod
-    def run_process(argv, **kwargs):
+    def run_process(argv, stderr=subprocess.PIPE, **kwargs):
         src = str(pathlib.Path(cli.__file__).resolve().parents[1])
         env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
         return subprocess.run(
-            [sys.executable, "-m", "uwacap.cli", *argv], stderr=subprocess.PIPE, env=env, timeout=120, **kwargs
+            [sys.executable, "-m", "uwacap.cli", *argv], stderr=stderr, env=env, timeout=120, **kwargs
         )
 
     @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
@@ -638,3 +647,54 @@ class TestOutputFile:
         proc = self.run_process(["gap", "1"], preexec_fn=lambda: os.close(1))
         assert proc.returncode == 1, proc.stderr
         assert proc.stderr == b"usage error: cannot write stdout: it is closed\n"
+
+    @pytest.mark.skipif(not (os.path.exists("/dev/full") and os.path.isdir("/proc/self/fd")), reason="needs /dev/full and /proc")
+    def test_failed_stdout_leaks_no_descriptor(self, monkeypatch):
+        # a failed stdout is pointed at the null device, and the descriptor opened for that is closed again
+        before = len(os.listdir("/proc/self/fd"))
+        for _ in range(5):
+            with open("/dev/full", "w") as full:
+                monkeypatch.setattr(sys, "stdout", full)
+                with pytest.raises(DomainError, match="cannot write stdout"):
+                    cli._emit(["gap\n"], None)
+        assert len(os.listdir("/proc/self/fd")) == before
+
+    @pytest.mark.parametrize("stderr", [None, FullStream()], ids=["closed", "full"])
+    def test_unwritable_stderr_keeps_exit_code(self, capsys, monkeypatch, stderr):
+        # `2>&-` starts Python with sys.stderr None, and `2>/dev/full` fails every write; neither changes a code
+        table = run_cli(capsys, "gap", "1")[1]
+        monkeypatch.setattr(sys, "stderr", stderr)
+        assert run_cli(capsys, "gap", "1")[:2] == (0, table)
+        assert run_cli(capsys, "gap", "1e-320")[:2] == (1, "")
+
+        def diverge(*args):
+            raise QuadratureError("did not converge", 0.5, 1.0)
+
+        monkeypatch.setattr(cli, "ergodic_bounds", diverge)
+        assert run_cli(capsys, "ergodic", "--alpha", "2", "--snr-db", "0")[:2] == (2, "")
+
+    @pytest.mark.skipif(os.name != "posix", reason="closes fd 2 before exec")
+    @pytest.mark.parametrize("stderr", ["closed", "full"])
+    def test_unwritable_stderr_keeps_stdout_and_exit_code(self, stderr):
+        # `uwacap ... 2>&-` and `2>/dev/full`: each command prints what it prints with stderr open and keeps its code
+        if stderr == "full" and not os.path.exists("/dev/full"):
+            pytest.skip("needs /dev/full")
+
+        def run(argv):
+            if stderr == "closed":
+                return self.run_process(argv, stderr=None, stdout=subprocess.PIPE, preexec_fn=lambda: os.close(2))
+            with open("/dev/full", "w") as full:
+                return self.run_process(argv, stderr=full, stdout=subprocess.PIPE)
+
+        for argv in (
+            ["gap", "1"],
+            ["secrecy", "--beta-sd", "1", "--beta-se", "2", "--snr-se-db", "0", "--snr-sd-db", "0"],
+            ["sample", "--law", "gg", "--count", "10"],
+            ["verify", "--quick"],
+        ):
+            want = self.run_process(argv, stdout=subprocess.PIPE)
+            assert want.returncode == 0, (argv, want.stderr)
+            got = run(argv)
+            assert (got.returncode, got.stdout) == (0, want.stdout), argv
+        got = run(["gap", "1e-320"])
+        assert (got.returncode, got.stdout) == (1, b"")
