@@ -95,6 +95,13 @@ def _csv(header, rows):
     return header + "\n" + "".join([line % row for row in rows])
 
 
+def _to_null(stream):
+    """Point a `stream` that failed a write at the null device, so what it buffers cannot fail the flush at exit."""
+    null = os.open(os.devnull, os.O_WRONLY)
+    os.dup2(null, stream.fileno())
+    os.close(null)
+
+
 def _emit(chunks, out):
     """Write the text pieces `chunks` in order to stdout or to the file `out`.
 
@@ -102,9 +109,7 @@ def _emit(chunks, out):
     is never held whole. A target that cannot be written (a stdout closed at
     start or on a full device, an `--out` path in a missing directory) is a
     usage error that names it, except a reader that closes stdout early: that
-    ends the output quietly, and the command keeps its exit code. A failed
-    stdout then points at the null device, so the flush at exit cannot fail
-    a second time.
+    ends the output quietly, and the command keeps its exit code.
     """
     stdout = out in (None, "-", "stdout")
     if stdout and sys.stdout is None:
@@ -116,9 +121,7 @@ def _emit(chunks, out):
             fh.flush()
     except OSError as exc:
         if stdout:
-            null = os.open(os.devnull, os.O_WRONLY)
-            os.dup2(null, sys.stdout.fileno())
-            os.close(null)
+            _to_null(sys.stdout)
             if isinstance(exc, BrokenPipeError):
                 return
         raise DomainError("cannot write %s: %s" % ("stdout" if stdout else out, exc.strerror or exc))
@@ -286,8 +289,10 @@ def main(argv=None):
     except QuadratureError as exc:
         code, note = 2, "quadrature failure: %s (estimate=%r, error=%r)\n" % (exc, exc.estimate, exc.error_indicator)
     if note and sys.stderr is not None:  # a closed or full stderr gets nothing and keeps the code
-        with contextlib.suppress(OSError):
+        try:
             sys.stderr.write(note)
+        except OSError:
+            _to_null(sys.stderr)
     return code
 
 
