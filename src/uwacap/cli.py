@@ -47,9 +47,16 @@ def _capped(what, count):
     return count
 
 
+class _Help(Exception):
+    """-h or --help: carries the help text, which `main` writes to stdout as the command's output."""
+
+
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
         raise DomainError(message)
+
+    def print_help(self, file=None):
+        raise _Help(self.format_help())
 
 
 def _fmt(x):
@@ -275,15 +282,20 @@ def _parse(argv):
 
 def main(argv=None):
     try:
-        args = _parse(argv)
-        config = SimConfig(
-            seed=args.seed,
-            samples=_capped("--samples", integer("--samples", args.samples, 1)),
-            quad_rtol=args.quad_rtol,
-            threads=args.threads,
-        )
-        code, chunks, note = args.func(args, config)
-        _emit(chunks, args.out)  # a failed write makes its usage error the only note
+        try:
+            args = _parse(argv)
+        except _Help as exc:
+            code, chunks, note, out = 0, exc.args, "", "stdout"
+        else:
+            config = SimConfig(
+                seed=args.seed,
+                samples=_capped("--samples", integer("--samples", args.samples, 1)),
+                quad_rtol=args.quad_rtol,
+                threads=args.threads,
+            )
+            code, chunks, note = args.func(args, config)
+            out = args.out
+        _emit(chunks, out)  # a failed write makes its usage error the only note
     except DomainError as exc:
         code, note = 1, "usage error: %s\n" % exc
     except QuadratureError as exc:

@@ -22,7 +22,7 @@ _GL_ORDER = 20  # Gauss-Legendre nodes per panel
 _PANEL_FACTOR = 2.0  # c: a regular panel spans a step of c in max(d/sqrt(P), (d/scale)**beta)
 _GRADING_RATIO = 0.2  # width ratio of successive panels graded into the cusp
 _GRADED_PANELS = 13  # innermost panel is 0.2**13 ~ 8e-10 of the first regular one
-_MAX_REGULAR_EDGES = 2**24  # _panel_edges refuses more; beta = 1, P = 1e-12 needs 8.4 million
+_MAX_REGULAR_EDGES = 2**24  # _panel_edges refuses more; beta = 1, P = 1e-12 needs 8.4 million a side
 _BLOCK_ELEMENTS = 2**16  # quadrature nodes evaluated at once; each of the two block arrays is 512 KB
 _FIRST_GRID_POINTS = 2001  # ceiling of output_density's first grid; each retry doubles its steps
 _MAX_GRID_POINTS = 20_000  # output_density stops doubling its grid once it reaches this size
@@ -83,26 +83,24 @@ def gg_density_grid(law):
     """Tabulate a GG density at the Gauss-Legendre nodes between consecutive ``_panel_edges``.
 
     The panels are output_density's with no Gaussian smoothing (P -> inf):
-    graded into the cusp at the mean, where the density's derivatives are
-    singular for non-even beta, then each spanning a step of 2 in
-    (d / scale)**beta. They reach ``tail_radius(law, 1e-8)`` on each side,
-    so the grid leaves a truncation mass of 1e-8 outside; the last panel is
-    trimmed to that radius.
+    symmetric about the mean, graded into the cusp there, where the density's
+    derivatives are singular for non-even beta, then each spanning a step of
+    2 in (|n - mean| / scale)**beta. The edges are clipped to
+    +-``tail_radius(law, 1e-8)``, so the grid leaves a truncation mass of 1e-8 outside.
     """
     radius = _gg.tail_radius(law, _GG_TRUNCATION)
-    edges = _panel_edges(law, math.inf, radius)
+    edges = np.clip(_panel_edges(law, math.inf, radius), -radius, radius)
     a = edges[:-1]
-    half = 0.5 * (np.minimum(edges[1:], radius) - a)
+    half = 0.5 * (edges[1:] - a)
     nodes, weights = _gauss_legendre()
-    d = ((a + half)[:, None] + half[:, None] * nodes).ravel()
-    w = (half[:, None] * weights).ravel()
-    points = np.concatenate([law.mean - d[::-1], law.mean + d])
+    offsets = ((a + half)[:, None] + half[:, None] * nodes).ravel()
+    points = law.mean + offsets
     if not np.all(np.diff(points) > 0):
         raise DomainError(
             "mean=%r is too large for the density grid: its innermost nodes, %.2g from the mean, round together"
-            % (law.mean, d[0])
+            % (law.mean, offsets[len(offsets) // 2])
         )
-    return DensityGrid(points, _gg.pdf(law, points), _GG_TRUNCATION, np.concatenate([w[::-1], w]))
+    return DensityGrid(points, _gg.pdf(law, points), _GG_TRUNCATION, (half[:, None] * weights).ravel())
 
 
 def mc_entropy(law, config):
@@ -122,20 +120,20 @@ def _gauss_legendre():
 
 
 def _panel_edges(law, power, radius):
-    """Increasing panel edges over the distance d = |n - mean| from the noise cusp.
+    """Increasing panel edges over the offset n - mean, symmetric about the noise cusp at 0.
 
     Regular edges lie at steps of c in the stretched coordinate
-    max(d / sqrt(P), (d / scale)**beta): d_m = min(c * m * sqrt(P),
+    max(d / sqrt(P), (d / scale)**beta), d = |n - mean|: d_m = min(c * m * sqrt(P),
     scale * (c * m)**(1 / beta)) for every beta, out to the first d_m at or
-    past ``radius``: about radius / (c * sqrt(P)) of them, 8.4 million at
+    past ``radius``: about radius / (c * sqrt(P)) a side, 8.4 million at
     beta = 1, P = 1e-12; past ``_MAX_REGULAR_EDGES`` it raises DomainError
     before any array is built. A panel is at most c * sqrt(P) wide and spans
     at most c of the noise exponent, so it is at most c * min(sqrt(P), l_N(d)) wide,
     l_N(d) = scale * z**(1 - beta) / beta (z = d/scale), save up to a factor
     max(beta, 1/beta) between the value and slope crossings of the two
-    terms. The first regular panel [0, d_1] is replaced by panels graded by
+    terms. Each side's first regular panel [0, d_1] is replaced by panels graded by
     ``_GRADING_RATIO`` into the cusp, where the density's derivatives are
-    singular for non-even beta, ending in [0, d_1 * 0.2**13]. With
+    singular for non-even beta, ending in [0, d_1 * 0.2**13]; 0 is an edge. With
     power = inf the edges cover the bare noise law. Shapes outside
     ``_BETA_RANGE``, where the quadrature is unchecked, raise DomainError.
     """
@@ -152,40 +150,32 @@ def _panel_edges(law, power, radius):
         )
     t = _PANEL_FACTOR * np.arange(1, math.ceil(count) + 1)
     regular = np.minimum(t * root, law.scale * t ** (1.0 / law.beta))
+    del t  # released before the edge array, twice the size of regular, is built
     graded = regular[0] * _GRADING_RATIO ** np.arange(_GRADED_PANELS, 0, -1.0)
-    return np.concatenate([[0.0], graded, regular])
+    return np.concatenate([-regular[::-1], -graded[::-1], [0.0], graded, regular])
 
 
 def _convolved_values(law, power, points, noise_radius, input_radius):
     """f_Y at ``points``: the convolution integral over each point's own window.
 
-    Each point integrates over [y - input_radius, y + input_radius] cut to
-    [mean - noise_radius, mean + noise_radius], split at the cusp into at
-    most two pieces. A piece takes the ``_panel_edges`` panels it overlaps,
-    found by binary search and trimmed to its ends, so the window is clipped
-    exactly; a piece that rounds past the last edge stops there. Each panel
-    carries ``_GL_ORDER`` nodes. Pieces are evaluated in blocks of about
+    In offsets n - mean, a point y integrates over [y - mean - input_radius,
+    y - mean + input_radius] cut to [-noise_radius, noise_radius]. The window
+    takes the ``_panel_edges`` panels it overlaps, found by binary search and
+    trimmed to its ends, so it is clipped exactly; a window that rounds past
+    an end edge stops there, and one that rounds empty adds 0. Each panel
+    carries ``_GL_ORDER`` nodes. Windows are evaluated in blocks of about
     ``_BLOCK_ELEMENTS`` nodes and summed per point with bincount. A block's
-    exponent is built in place in two (panels x nodes) arrays, the distances
-    d and the input offsets x, each 512 KB; both are released before the
-    next block is built, so the working set is two block arrays whatever
-    the grid.
+    exponent is built in place in two (panels x nodes) arrays, the offsets d
+    and the input values x, each 512 KB; both are released before the next
+    block is built, so the working set is two block arrays whatever the grid.
     """
     nodes, weights = _gauss_legendre()
     edges = _panel_edges(law, power, noise_radius)
-    mean = law.mean
-    lo = np.maximum(mean - noise_radius, points - input_radius)
-    hi = np.minimum(mean + noise_radius, points + input_radius)
-
-    # pieces: left of the cusp (distances from the mean, sign -1), then right
-    near = np.concatenate([mean - np.minimum(hi, mean), np.maximum(lo, mean) - mean])
-    far = np.concatenate([mean - lo, hi - mean])
-    sign = np.repeat([-1.0, 1.0], len(points))
-    owner = np.tile(np.arange(len(points)), 2)
-    keep = far > near
-    near, far, sign, owner = near[keep], far[keep], sign[keep], owner[keep]
-    first = np.searchsorted(edges, near, side="right") - 1
-    counts = np.minimum(np.searchsorted(edges, far), len(edges) - 1) - first
+    offsets = points - law.mean
+    lo = np.maximum(-noise_radius, offsets - input_radius)
+    hi = np.minimum(noise_radius, offsets + input_radius)
+    first = np.maximum(np.searchsorted(edges, lo, side="right") - 1, 0)
+    counts = np.minimum(np.searchsorted(edges, hi), len(edges) - 1) - first
 
     log_const = law.log_norm - 0.5 * math.log(2.0 * math.pi * power)
     values = np.zeros(len(points))
@@ -193,25 +183,25 @@ def _convolved_values(law, power, points, noise_radius, input_radius):
     block_of = starts // (_BLOCK_ELEMENTS // _GL_ORDER)
     for block in np.split(np.arange(len(counts)), np.flatnonzero(np.diff(block_of)) + 1):
         sizes = counts[block]
-        piece = np.repeat(block, sizes)
-        j = first[piece] + np.arange(len(piece)) - np.repeat(np.cumsum(sizes) - sizes, sizes)
-        a = np.maximum(edges[j], near[piece])
-        b = np.minimum(edges[j + 1], far[piece])
+        point = np.repeat(block, sizes)
+        j = first[point] + np.arange(len(point)) - np.repeat(np.cumsum(sizes) - sizes, sizes)
+        a = np.maximum(edges[j], lo[point])
+        b = np.minimum(edges[j + 1], hi[point])
         half = 0.5 * np.maximum(b - a, 0.0)
-        # exp(log_const - (d / scale)**beta - 0.5 * x * x / power), with d and x the only block-sized arrays
+        # exp(log_const - (|d| / scale)**beta - 0.5 * x * x / power), with d and x the only block-sized arrays
         d = half[:, None] * nodes
         d += (a + half)[:, None]
-        x = sign[piece][:, None] * d  # exact: the sign is +-1
-        np.subtract((points[owner[piece]] - mean)[:, None], x, out=x)
+        x = offsets[point][:, None] - d
         x *= x
         x *= 0.5
         x /= power
+        np.abs(d, out=d)
         d /= law.scale
         d **= law.beta
         np.subtract(log_const, d, out=d)
         d -= x
         np.exp(d, out=d)
-        values += np.bincount(owner[piece], weights=(d @ weights) * half, minlength=len(points))
+        values += np.bincount(point, weights=(d @ weights) * half, minlength=len(points))
         del d, x  # released before the next block's are built
     return values
 

@@ -76,10 +76,10 @@ def test_criterion_4_capacity_sandwich():
             bounds = capacity.awggn_bounds(config, "bits")
             slack = max(bounds.lower - mi, mi - bounds.upper, 0.0)
             worst_slack = max(worst_slack, slack)
-            ok &= slack <= 1e-4
+            ok &= slack <= verify._MI_SLACK
             if beta == 2.0:
                 worst_collapse = max(worst_collapse, abs(mi - bounds.lower))
-    ok &= worst_collapse <= 1e-5
+    ok &= worst_collapse <= verify._MI_SLACK
     elapsed = time.perf_counter() - start
     report(4, "capacity sandwich", ok and elapsed < 120.0,
            "max slack=%.1e, collapse=%.1e, %.1fs" % (worst_slack, worst_collapse, elapsed))

@@ -1,6 +1,5 @@
 import math
 import os
-import pathlib
 import subprocess
 import sys
 import tracemalloc
@@ -9,6 +8,7 @@ import warnings
 import numpy as np
 import pytest
 
+from conftest import package_env
 from uwacap import capacity, cli, fading, gg_noise, verify
 from uwacap.cli import main
 from uwacap.numerics import DomainError, QuadratureError
@@ -400,10 +400,8 @@ class TestSampleCommand:
     )
     def test_reader_closing_the_pipe_ends_quietly(self, argv):
         # `cmd | head -n 1`: once the reader has gone, the command stops writing without a traceback
-        src = str(pathlib.Path(cli.__file__).resolve().parents[1])
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
         proc = subprocess.Popen(
-            [sys.executable, "-m", "uwacap.cli", *argv], stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env
+            [sys.executable, "-m", "uwacap.cli", *argv], stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=package_env()
         )
         first = proc.stdout.readline()
         proc.stdout.close()
@@ -609,9 +607,8 @@ class TestOutputFile:
     @staticmethod
     def run_process(argv, stderr=subprocess.PIPE, **kwargs):
         # Python's default stdio buffering, as a shell starts it: a buffered stderr keeps what a failed write left
-        src = str(pathlib.Path(cli.__file__).resolve().parents[1])
-        env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
-        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        env = package_env()
+        env.pop("PYTHONUNBUFFERED", None)
         return subprocess.run(
             [sys.executable, "-m", "uwacap.cli", *argv], stderr=stderr, env=env, timeout=120, **kwargs
         )
@@ -639,6 +636,59 @@ class TestOutputFile:
     def test_closed_stdout_is_usage_error(self):
         # `uwacap gap 1 >&-`: Python starts with sys.stdout None
         proc = self.run_process(["gap", "1"], preexec_fn=lambda: os.close(1))
+        assert proc.returncode == 1, proc.stderr
+        assert proc.stderr == b"usage error: cannot write stdout: it is closed\n"
+
+    @pytest.mark.parametrize(
+        "argv", [["--help"], ["gap", "-h"], ["--seed", "3", "verify", "--help"], ["--out", "missing/x.csv", "-h"]]
+    )
+    def test_help_is_argparse_help_written_by_main(self, capsys, monkeypatch, tmp_path, argv):
+        # main returns 0 with argparse's own help text on stdout and nothing on stderr; --out does not divert it
+        monkeypatch.chdir(tmp_path)
+        with monkeypatch.context() as patch:
+            patch.delattr(cli._Parser, "print_help")  # argparse writes the help itself, then exits
+            with pytest.raises(SystemExit) as info:
+                main(argv)
+        want = capsys.readouterr()
+        assert (info.value.code, want.err) == (0, "") and want.out.startswith("usage: uwacap")
+        assert run_cli(capsys, *argv) == (0, want.out, "")
+        assert not os.path.exists("missing")
+
+    def test_help_reaches_a_pipe_whole(self, capsys, monkeypatch):
+        # `uwacap --help | cat`: the bytes main writes in process; COLUMNS fixes argparse's line width in both
+        monkeypatch.setenv("COLUMNS", "100")
+        proc = self.run_process(["--help"], stdout=subprocess.PIPE)
+        assert (proc.returncode, proc.stderr) == (0, b"")
+        assert proc.stdout.decode() == run_cli(capsys, "--help")[1]
+
+    def test_help_into_a_pipe_closed_early_ends_quietly(self):
+        # `uwacap --help | head -n 1`
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "uwacap.cli", "--help"], stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=package_env()
+        )
+        first = proc.stdout.readline()
+        proc.stdout.close()
+        err = proc.stderr.read()
+        proc.stderr.close()
+        assert proc.wait(timeout=60) == 0
+        assert err == b""
+        assert first.startswith(b"usage: uwacap")
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+    @pytest.mark.parametrize("argv", [["--help"], ["gap", "--help"]])
+    def test_help_to_full_stdout_is_usage_error(self, argv):
+        # argparse alone would lose the help and exit 0
+        with open("/dev/full", "w") as full:
+            proc = self.run_process(argv, stdout=full)
+        assert proc.returncode == 1, proc.stderr
+        assert proc.stderr.startswith(b"usage error: cannot write stdout: "), proc.stderr
+        assert proc.stderr.count(b"\n") == 1 and proc.stderr.endswith(b"\n"), proc.stderr
+
+    @pytest.mark.skipif(os.name != "posix", reason="closes fd 1 before exec")
+    @pytest.mark.parametrize("argv", [["--help"], ["gap", "--help"]])
+    def test_help_to_closed_stdout_is_usage_error(self, argv):
+        # argparse alone would write the help to stderr and exit 0
+        proc = self.run_process(argv, preexec_fn=lambda: os.close(1))
         assert proc.returncode == 1, proc.stderr
         assert proc.stderr == b"usage error: cannot write stdout: it is closed\n"
 

@@ -10,14 +10,13 @@ installed, and one test runs every case with both blocked.
 """
 
 import json
-import os
 import pathlib
 import subprocess
 import sys
 
 import pytest
 
-import uwacap
+from conftest import package_env
 from uwacap.cli import main
 
 DATA = pathlib.Path(__file__).resolve().parent / "data"
@@ -69,10 +68,8 @@ json.dump(results, sys.stdout)
 
 
 def test_cases_run_with_numpy_and_scipy_blocked():
-    src = str(pathlib.Path(uwacap.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
     run = subprocess.run(
-        [sys.executable, "-c", BLOCKED_RUN, json.dumps(CASES)], env=env, capture_output=True, text=True
+        [sys.executable, "-c", BLOCKED_RUN, json.dumps(CASES)], env=package_env(), capture_output=True, text=True
     )
     assert run.returncode == 0, run.stderr
     results = json.loads(run.stdout)

@@ -1,8 +1,4 @@
 import math
-import os
-import pathlib
-import subprocess
-import sys
 from fractions import Fraction
 
 import mpmath
@@ -11,6 +7,7 @@ import pytest
 from scipy import special
 
 import uwacap
+from conftest import run_fresh
 from uwacap import gg_noise, numerics
 from uwacap.numerics import (
     DomainError,
@@ -348,13 +345,6 @@ class TestIntegrate:
         for rtol in (0.0, -1e-8, math.nan, "1e-8", 1.0):
             with pytest.raises(DomainError, match="^rtol"):
                 integrate(math.exp, rtol)
-
-
-def run_fresh(code):
-    """stdout of ``code`` run in a fresh interpreter with this package on the path."""
-    src = str(pathlib.Path(uwacap.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-    return subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True).stdout
 
 
 def test_cli_import_leaves_scipy_integrate_unloaded():

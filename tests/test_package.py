@@ -1,14 +1,11 @@
 import inspect
-import os
-import pathlib
 import pickle
 import re
-import subprocess
-import sys
 
 import pytest
 
 import uwacap
+from conftest import run_fresh
 from uwacap import (
     AlphaMuFading,
     CapacityBounds,
@@ -18,13 +15,6 @@ from uwacap import (
     SecrecyScenario,
     SimConfig,
 )
-
-
-def run_fresh(code):
-    """stdout of ``code`` run in a fresh interpreter with this package on the path."""
-    src = str(pathlib.Path(uwacap.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-    return subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True).stdout
 
 
 def test_exports_are_unique_and_resolve():

@@ -1,16 +1,11 @@
 """``_rows.format_9g`` against Python's own ``"%.9g\\n"``, row for row."""
 
-import os
-import pathlib
-import subprocess
-import sys
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import uwacap
+from conftest import run_fresh
 from uwacap._rows import format_9g
 
 
@@ -88,7 +83,4 @@ def test_only_sample_loads_the_row_writer():
         "uwacap.verify.run_checks(uwacap.SimConfig(samples=1000), quick=True)\n"
         "print('uwacap._rows' in sys.modules)"
     )
-    src = str(pathlib.Path(uwacap.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-    run = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
-    assert run.stdout == "False\n"
+    assert run_fresh(code) == "False\n"

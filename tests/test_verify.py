@@ -131,8 +131,11 @@ class TestPanelEdges:
         law = gg.with_variance(beta, 1.0)
         radius = gg.tail_radius(law, 0.5e-10)
         edges = verify._panel_edges(law, power, radius)
-        assert edges[0] == 0.0
         assert np.all(np.diff(edges) > 0)
+        # symmetric about the cusp, which is an edge; the right half is laid out as follows
+        assert np.array_equal(edges, -edges[::-1])
+        edges = edges[len(edges) // 2:]
+        assert edges[0] == 0.0
         # 13 edges graded by 0.2 into the cusp, the last a fifth of the first regular edge
         graded = edges[1:15]
         np.testing.assert_allclose(graded[:-1] / graded[1:], 0.2, rtol=1e-12)
@@ -277,17 +280,11 @@ def _out_of_place_convolved_values(law, power, points, noise_radius, input_radiu
     """verify._convolved_values with each block evaluated as one out-of-place expression: the reference."""
     nodes, weights = verify._gauss_legendre()
     edges = verify._panel_edges(law, power, noise_radius)
-    mean = law.mean
-    lo = np.maximum(mean - noise_radius, points - input_radius)
-    hi = np.minimum(mean + noise_radius, points + input_radius)
-    near = np.concatenate([mean - np.minimum(hi, mean), np.maximum(lo, mean) - mean])
-    far = np.concatenate([mean - lo, hi - mean])
-    sign = np.repeat([-1.0, 1.0], len(points))
-    owner = np.tile(np.arange(len(points)), 2)
-    keep = far > near
-    near, far, sign, owner = near[keep], far[keep], sign[keep], owner[keep]
-    first = np.searchsorted(edges, near, side="right") - 1
-    counts = np.minimum(np.searchsorted(edges, far), len(edges) - 1) - first
+    offsets = points - law.mean
+    lo = np.maximum(-noise_radius, offsets - input_radius)
+    hi = np.minimum(noise_radius, offsets + input_radius)
+    first = np.maximum(np.searchsorted(edges, lo, side="right") - 1, 0)
+    counts = np.minimum(np.searchsorted(edges, hi), len(edges) - 1) - first
 
     log_const = law.log_norm - 0.5 * math.log(2.0 * math.pi * power)
     values = np.zeros(len(points))
@@ -295,15 +292,15 @@ def _out_of_place_convolved_values(law, power, points, noise_radius, input_radiu
     block_of = starts // (verify._BLOCK_ELEMENTS // verify._GL_ORDER)
     for block in np.split(np.arange(len(counts)), np.flatnonzero(np.diff(block_of)) + 1):
         sizes = counts[block]
-        piece = np.repeat(block, sizes)
-        j = first[piece] + np.arange(len(piece)) - np.repeat(np.cumsum(sizes) - sizes, sizes)
-        a = np.maximum(edges[j], near[piece])
-        b = np.minimum(edges[j + 1], far[piece])
+        point = np.repeat(block, sizes)
+        j = first[point] + np.arange(len(point)) - np.repeat(np.cumsum(sizes) - sizes, sizes)
+        a = np.maximum(edges[j], lo[point])
+        b = np.minimum(edges[j + 1], hi[point])
         half = 0.5 * np.maximum(b - a, 0.0)
         d = (a + half)[:, None] + half[:, None] * nodes
-        x = (points[owner[piece]] - mean)[:, None] - sign[piece][:, None] * d
-        exponent = log_const - (d / law.scale) ** law.beta - 0.5 * x * x / power
-        values += np.bincount(owner[piece], weights=(np.exp(exponent) @ weights) * half, minlength=len(points))
+        x = offsets[point][:, None] - d
+        exponent = log_const - (np.abs(d) / law.scale) ** law.beta - 0.5 * x * x / power
+        values += np.bincount(point, weights=(np.exp(exponent) @ weights) * half, minlength=len(points))
     return values
 
 
@@ -319,6 +316,20 @@ class TestConvolutionKernel:
         got = verify._convolved_values(law, power, points, noise_radius, input_radius)
         want = _out_of_place_convolved_values(law, power, points, noise_radius, input_radius)
         assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
+    def test_windows_stop_at_end_edges_that_round_inside_the_noise_radius(self):
+        # at P = 0.5, sqrt(P) is one ulp below the Laplace scale, so the last edge, 66 * sqrt(P), is
+        # 7.1e-15 below the radius 66 * scale: the outermost windows reach past both end edges and
+        # stop there, as if clipped to them
+        law, power = gg.with_variance(1.0, 1.0), 0.5
+        radius = 66 * law.scale
+        edges = verify._panel_edges(law, power, radius)
+        assert -radius < edges[0] == -edges[-1] and edges[-1] < radius
+        input_radius = gg.tail_radius(gg.GGNoise(2.0, math.sqrt(2.0 * power)), 0.5e-10)
+        points = np.linspace(-1.0, 1.0, 201) * (radius + input_radius)
+        got = verify._convolved_values(law, power, points, radius, input_radius)
+        assert np.array_equal(verify._panel_edges(law, power, float(edges[-1])), edges)
+        assert np.array_equal(got, verify._convolved_values(law, power, points, float(edges[-1]), input_radius))
 
     @pytest.mark.parametrize("snr,points", [(0.1, 1745), (1e-3, 8001)])
     def test_peak_memory_is_about_two_block_arrays(self, snr, points):
@@ -409,7 +420,7 @@ class TestGaussianInputMI:
         config = capacity.ChannelConfig(1.0, gg.with_variance(1.0, 1.0))
         mi = verify.gaussian_input_mi(config)
         bounds = capacity.awggn_bounds(config)
-        assert bounds.lower - 1e-4 <= mi <= bounds.upper + 1e-4
+        assert bounds.lower - verify._MI_SLACK <= mi <= bounds.upper + verify._MI_SLACK
 
     @pytest.mark.parametrize("beta,power", [(0.3, 1e-8), (1.0, 1e-12)])
     def test_uncertifiable_mass_raises(self, beta, power):
@@ -479,10 +490,11 @@ class TestNonzeroMean:
 
     @pytest.mark.parametrize("mean", [1e3, -1e3])
     def test_window_rounding_past_the_last_edge(self, mean):
-        # a noise radius on a regular edge is the last edge, and at |mean| = 1e3
-        # the window end mean - (mean - radius) rounds 2.2e-14 past it
+        # a noise radius on a regular edge is the last edge, and at |mean| = 1e3 the
+        # points shifted by the mean round, so the outermost window ends round past it
         law = gg.with_variance(1.0, 1.0)
-        radius = float(verify._panel_edges(law, 1.0, 2.0)[15])
+        edges = verify._panel_edges(law, 1.0, 2.0)
+        radius = float(edges[len(edges) // 2 + 15])
         assert verify._panel_edges(law, 1.0, radius)[-1] == radius < mean - (mean - radius)
         input_radius = gg.tail_radius(gg.GGNoise(2.0, math.sqrt(2.0)), 0.5e-10)
         points = np.linspace(-1.0, 1.0, 101) * (radius + input_radius)
