@@ -32,7 +32,8 @@ def sample(law, seed, count, chunks=8, threads=1):
     Deterministic given (seed, count, chunks). G is drawn straight into the
     output and transformed in place, so a draw allocates nothing beyond its
     output. Each chunk costs about 1.7 KB and 70-100 us beyond its draws
-    (measured at 10**5 chunks), and at most one thread runs per chunk. A law
+    (measured at 10**5 chunks), and at most one thread runs per chunk; one
+    thread draws every chunk in the calling thread, starting none. A law
     with mu < 53/1075 and alpha > (1075 + log2 mu)/53, whose gamma variates
     would round to 0 in place of draws that matter, raises DomainError.
     """

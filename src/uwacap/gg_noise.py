@@ -36,16 +36,22 @@ def log_pdf(law, n):
     """ln pdf evaluated directly; never round-trips through pdf().
 
     Where z**beta overflows (z = |n - mean| / scale past 2.6e15 at beta = 20),
-    ln pdf is -inf and pdf is 0, without a RuntimeWarning.
+    ln pdf is -inf and pdf is 0, without a RuntimeWarning. An array result is
+    built in place in the one array that ``n - mean`` allocates, never in ``n``.
     """
     import numpy as np  # loaded on first use, so the closed forms never import it
 
     arr = np.asarray(n, dtype=float)
     if not np.all(np.isfinite(arr)):
         raise DomainError("noise amplitude must be finite")
-    z = np.abs(arr - law.mean) / law.scale
+    z = arr - law.mean
+    # a 0-d input gives a numpy float, which takes the scalar ops (its pow is not the array loop's)
+    buffer = z if z.ndim else None
+    z = np.abs(z, out=buffer)
+    z /= law.scale
     with np.errstate(over="ignore"):
-        out = law.log_norm - z**law.beta
+        z **= law.beta
+    out = np.subtract(law.log_norm, z, out=buffer)
     return float(out) if out.ndim == 0 else out
 
 
@@ -126,7 +132,8 @@ def sample(law, seed, count, chunks=8, threads=1):
     and transformed in place, so a draw allocates its output once plus, per
     running thread, one chunk's signs. Each chunk costs about 1.7 KB and
     70-100 us beyond its draws (measured at 10**5 chunks), and at most one
-    thread runs per chunk. A shape beta > 1075/53, whose gamma variates would
+    thread runs per chunk; one thread draws every chunk in the calling
+    thread, starting none. A shape beta > 1075/53, whose gamma variates would
     round to 0 in place of draws that matter, raises DomainError.
     """
     from .sampling import check_gamma_zeros, chunked_draw

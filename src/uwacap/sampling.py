@@ -2,10 +2,10 @@
 
 Each chunk draws from an independent stream derived from (seed, chunk index),
 so output depends only on (seed, count, chunks) and not on thread count.
+One thread draws every chunk in the calling thread; more start a pool.
 """
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -44,6 +44,8 @@ def chunked_draw(draw, seed, count, chunks=8, threads=1):
     ``draw(rng, out)`` must fill the float64 slice ``out`` with variates in
     place. Each chunk owns the slice at its offset, so any thread count yields
     identical output, and the output is allocated once and never copied.
+    At ``threads=1`` the chunks are drawn in order in the calling thread, which
+    starts no worker thread; a chunk's error is raised unchanged either way.
     """
     chunks = integer("chunks", chunks, 1)
     base, extra = divmod(integer("count", count, 1), chunks)
@@ -54,6 +56,12 @@ def chunked_draw(draw, seed, count, chunks=8, threads=1):
     def one(i):
         draw(chunk_rng(seed, i), out[edges[i] : edges[i + 1]])
 
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        list(pool.map(one, range(chunks)))  # consumed, so a chunk's error is raised here
+    if threads == 1:
+        for i in range(chunks):
+            one(i)
+    else:
+        from concurrent.futures import ThreadPoolExecutor  # imported only when a pool starts
+
+        with ThreadPoolExecutor(max_workers=threads) as pool:
+            list(pool.map(one, range(chunks)))  # consumed, so a chunk's error is raised here
     return out

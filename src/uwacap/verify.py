@@ -114,9 +114,31 @@ def mc_entropy(law, config):
     return estimate, std_error
 
 
+# (node, weight) pairs of numpy.polynomial.legendre.leggauss(_GL_ORDER) at its nonnegative nodes, bit for bit
+# (repr round-trips a float); the rule is symmetric about 0, and leggauss makes it so exactly
+_GL_HALF = (
+    (0.07652652113349734, 0.15275338713072628),
+    (0.22778585114164507, 0.14917298647260424),
+    (0.37370608871541955, 0.1420961093183824),
+    (0.5108670019508271, 0.1316886384491769),
+    (0.636053680726515, 0.1181945319615186),
+    (0.7463319064601508, 0.1019301198172407),
+    (0.8391169718222188, 0.08327674157670471),
+    (0.912234428251326, 0.06267204833410879),
+    (0.9639719272779138, 0.040601429800386446),
+    (0.993128599185095, 0.017614007139150893),
+)
+
+
 @functools.cache
 def _gauss_legendre():
-    return np.polynomial.legendre.leggauss(_GL_ORDER)
+    """leggauss(_GL_ORDER)'s nodes and weights, read from ``_GL_HALF``.
+
+    A table rather than the call, which imports numpy.polynomial and runs an
+    eigen-solve; the nodes and weights are the same floats.
+    """
+    nodes, weights = np.array(_GL_HALF).T
+    return np.concatenate([-nodes[::-1], nodes]), np.concatenate([weights[::-1], weights])
 
 
 def _panel_edges(law, power, radius):
@@ -277,8 +299,10 @@ def gaussian_input_mi(config, units="bits"):
     Deterministic (convolution + quadrature) on the ``output_density`` grid
     at its default truncation mass; must land inside the awggn_bounds
     sandwich for the same config. Error model: absolute, a few
-    1e-9 bits (about -1.7e-9 at beta = 2, mostly the entropy of the tail
-    mass cut off the grid), with no relative accuracy: h(Y) - h(N)
+    1e-9 bits (-1.67e-9 to -1.99e-9 at beta = 2, snr 0.1 to 100). That bias
+    is the ~1e-10 of mass each value's convolution window leaves out, not
+    the grid's extent: the exact Gaussian f_Y on the same grids gives I_G
+    within 3.4e-11 bits. There is no relative accuracy: h(Y) - h(N)
     subtracts two O(1) entropies. At beta = 2, snr = 1e-8 it returns
     5.46e-9 bits against the exact 7.21e-9. A small-P route such as
     I ~ P * J(N) / 2 nats (J the noise's Fisher information) is not built.

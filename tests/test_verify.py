@@ -5,6 +5,7 @@ import mpmath
 import numpy as np
 import pytest
 
+from conftest import run_fresh
 from uwacap import capacity, gg_noise as gg, numerics, verify
 from uwacap.config import SimConfig
 from uwacap.numerics import DomainError, QuadratureError
@@ -144,6 +145,22 @@ class TestPanelEdges:
         stretch = np.maximum(regular / math.sqrt(power), (regular / law.scale) ** beta)
         np.testing.assert_allclose(stretch, 2.0 * np.arange(1, len(regular) + 1), rtol=1e-12)
         assert edges[-1] >= radius
+
+
+class TestGaussLegendre:
+    def test_table_is_leggauss_bit_for_bit(self):
+        nodes, weights = verify._gauss_legendre()
+        want_nodes, want_weights = np.polynomial.legendre.leggauss(20)
+        assert np.array_equal(nodes, want_nodes) and np.array_equal(weights, want_weights)
+
+    def test_verify_imports_neither_numpy_polynomial_nor_a_thread_pool(self):
+        code = (
+            "import os, sys\n"
+            "from uwacap import cli\n"
+            "code = cli.main(['--seed', '7', '--out', os.devnull, 'verify', '--quick'])\n"
+            "print(code, sorted(m for m in sys.modules if m.startswith(('numpy.polynomial', 'concurrent.futures'))))\n"
+        )
+        assert run_fresh(code) == "0 []\n"
 
 
 class TestMcEntropy:
