@@ -210,7 +210,9 @@ def _global_flags():
     parser = _Parser(add_help=False)
     parser.add_argument("--seed", type=int, default=0, help="RNG seed (default 0)")
     parser.add_argument("--samples", type=int, default=100_000, help="Monte-Carlo sample count")
-    parser.add_argument("--threads", type=int, default=1, help="sampling threads, used up to 8; 1 draws in the calling thread (never affects output)")
+    parser.add_argument(
+        "--threads", type=int, default=1, help="sampling threads, used up to 8; 1 draws in the calling thread (never affects output)"
+    )
     parser.add_argument("--units", choices=("bits", "nats"), default="bits")
     parser.add_argument("--out", default="stdout", help="output path or 'stdout'")
     parser.add_argument(
