@@ -107,8 +107,7 @@ def mc_entropy(law, config):
     """Resubstitution entropy estimate -(1/n) sum log pdf(N_i) with its standard error."""
     if config.samples < 1_000:
         raise DomainError("mc_entropy needs at least 1000 samples")
-    draws = _gg.sample(law, config.seed, config.samples, threads=config.threads)
-    log_p = _gg.log_pdf(law, draws)
+    log_p = _gg.log_pdf(law, _gg.sample(law, config.seed, config.samples, threads=config.threads))
     estimate = -float(np.mean(log_p))
     std_error = float(np.std(log_p, ddof=1)) / math.sqrt(config.samples)
     return estimate, std_error

@@ -1,11 +1,17 @@
 """Helpers for tests that start a fresh interpreter; numpy-free, so suites that run without numpy load it too."""
 
+import importlib.util
 import os
 import pathlib
 import subprocess
 import sys
 
+import pytest
+
 import uwacap
+
+# sample and verify draw with numpy; the closed forms and their CLI commands need only the standard library
+needs_numpy = pytest.mark.skipif(importlib.util.find_spec("numpy") is None, reason="needs numpy")
 
 
 def package_env():

@@ -5,11 +5,10 @@ import sys
 import tracemalloc
 import warnings
 
-import numpy as np
 import pytest
 
-from conftest import package_env
-from uwacap import capacity, cli, fading, gg_noise, verify
+from conftest import needs_numpy, package_env
+from uwacap import capacity, cli, fading, gg_noise
 from uwacap.cli import main
 from uwacap.numerics import DomainError, QuadratureError
 
@@ -29,7 +28,7 @@ def parse_csv(text):
 
 class TestGapCommand:
     def test_sweep(self, capsys):
-        betas = [f"{b:.1f}" for b in np.arange(0.5, 3.05, 0.1)]
+        betas = [f"{b / 10:.1f}" for b in range(5, 31)]
         code, out, _ = run_cli(capsys, "gap", *betas)
         header, rows = parse_csv(out)
         assert code == 0
@@ -242,6 +241,7 @@ class TestSecrecyCommand:
         assert err == "usage error: %s must be a finite real > 0, got %s\n" % (shape, float(bad))
 
 
+@needs_numpy
 class TestSampleCommand:
     LAWS = [
         (["gg", "--beta", "0.8", "--scale", "2.5", "--mean", "-1.5"], gg_noise, gg_noise.GGNoise(0.8, 2.5, -1.5)),
@@ -349,6 +349,8 @@ class TestSampleCommand:
     @pytest.mark.parametrize("position", [0, cli._BLOCK, -1], ids=["first", "second block", "last"])
     def test_a_non_finite_draw_in_any_block_writes_nothing(self, monkeypatch, tmp_path, capsys, position):
         # the draws are checked a block at a time, and every block before the file is opened
+        import numpy as np
+
         def draws(law, seed, count, threads):
             out = np.ones(count)
             out[position] = math.nan
@@ -412,6 +414,7 @@ class TestSampleCommand:
         assert first in (b"value\n", b"snr_db,lower,upper\n")
 
 
+@needs_numpy
 class TestVerifyCommand:
     def test_quick_suite_passes(self, capsys):
         code, out, _ = run_cli(capsys, "--samples", "5000", "verify", "--quick")
@@ -431,6 +434,8 @@ class TestVerifyCommand:
 
     def test_missed_grid_mass_is_a_failed_row(self, capsys, monkeypatch):
         # values 0.5% too high put a GG grid's mass at 1.005, outside its window
+        from uwacap import verify
+
         landed = verify.gg_density_grid
 
         def too_heavy(law):
@@ -446,6 +451,7 @@ class TestVerifyCommand:
         assert [line for line in out.splitlines() if line.startswith("output_mass")][0].endswith(" PASS")
 
 
+@needs_numpy
 class TestVerifyQuadRtol:
     def test_quad_rtol_does_not_change_verify(self, capsys):
         # --quad-rtol tunes only the ergodic rule; no verify row reads it
@@ -549,8 +555,8 @@ class TestRowCap:
     @pytest.mark.parametrize(
         "argv",
         [
-            ["--samples", "100", "sample", "--law", "gg", "--count", "101"],
-            ["--samples", "100", "sample", "--law", "alpha-mu", "--count", "101"],
+            pytest.param(["--samples", "100", "sample", "--law", "gg", "--count", "101"], marks=needs_numpy),
+            pytest.param(["--samples", "100", "sample", "--law", "alpha-mu", "--count", "101"], marks=needs_numpy),
             ["--samples", "101", "verify", "--quick"],
         ],
     )
@@ -587,22 +593,26 @@ class TestOutputFile:
         assert data.endswith(b"\n")
         assert data.decode().splitlines()[0] == "beta,gap_bits,gap_nats"
 
-    def test_unwritable_out_is_usage_error(self, tmp_path, capsys):
-        # in every command the usage error is the only stderr line: secrecy's threshold note is not written either
-        target = tmp_path / "missing" / "x.csv"
-        for argv in (
+    @pytest.mark.parametrize(
+        "argv",
+        [
             ["gap", "1"],
             ["capacity", "--beta", "1", "--snr-db", "0"],
             ["ergodic", "--alpha", "2", "--snr-db", "0"],
             ["secrecy", "--beta-sd", "1", "--beta-se", "2", "--snr-se-db", "0", "--snr-sd-db", "0"],
-            ["sample", "--law", "gg", "--count", "10"],
-            ["verify", "--quick"],
-        ):
-            code, out, err = run_cli(capsys, "--out", str(target), *argv)
-            assert (code, out) == (1, ""), argv
-            assert err.startswith("usage error: cannot write %s: " % target), argv
-            assert err.count("\n") == 1 and err.endswith("\n"), (argv, err)
-            assert not target.parent.exists()
+            pytest.param(["sample", "--law", "gg", "--count", "10"], marks=needs_numpy),
+            pytest.param(["verify", "--quick"], marks=needs_numpy),
+        ],
+        ids=["gap", "capacity", "ergodic", "secrecy", "sample", "verify"],
+    )
+    def test_unwritable_out_is_usage_error(self, tmp_path, capsys, argv):
+        # in every command the usage error is the only stderr line: secrecy's threshold note is not written either
+        target = tmp_path / "missing" / "x.csv"
+        code, out, err = run_cli(capsys, "--out", str(target), *argv)
+        assert (code, out) == (1, "")
+        assert err.startswith("usage error: cannot write %s: " % target)
+        assert err.count("\n") == 1 and err.endswith("\n"), err
+        assert not target.parent.exists()
 
     @staticmethod
     def run_process(argv, stderr=subprocess.PIPE, **kwargs):
@@ -619,8 +629,8 @@ class TestOutputFile:
         [
             ["gap", "1"],
             ["secrecy", "--beta-sd", "1", "--beta-se", "2", "--snr-se-db", "0", "--snr-sd-db", "0"],
-            ["sample", "--law", "gg", "--count", "100000"],
-            ["verify", "--quick"],
+            pytest.param(["sample", "--law", "gg", "--count", "100000"], marks=needs_numpy),
+            pytest.param(["verify", "--quick"], marks=needs_numpy),
         ],
         ids=["gap", "secrecy", "sample", "verify"],
     )
@@ -713,31 +723,41 @@ class TestOutputFile:
         monkeypatch.setattr(cli, "ergodic_bounds", diverge)
         assert run_cli(capsys, "ergodic", "--alpha", "2", "--snr-db", "0")[:2] == (2, "")
 
-    @pytest.mark.skipif(os.name != "posix", reason="closes fd 2 before exec")
-    @pytest.mark.parametrize("stderr", ["closed", "full"])
-    def test_unwritable_stderr_keeps_stdout_and_exit_code(self, stderr):
-        # `uwacap ... 2>&-` and `2>/dev/full`: each command prints what it prints with stderr open and keeps its code
-        if stderr == "full" and not os.path.exists("/dev/full"):
+    @classmethod
+    def run_without_stderr(cls, stderr, argv, stdout=subprocess.PIPE):
+        # `uwacap ... 2>&-` or `2>/dev/full`
+        if stderr == "closed":
+            return cls.run_process(argv, stderr=None, stdout=stdout, preexec_fn=lambda: os.close(2))
+        if not os.path.exists("/dev/full"):
             pytest.skip("needs /dev/full")
+        with open("/dev/full", "w") as full:
+            return cls.run_process(argv, stderr=full, stdout=stdout)
 
-        def run(argv, stdout=subprocess.PIPE):
-            if stderr == "closed":
-                return self.run_process(argv, stderr=None, stdout=stdout, preexec_fn=lambda: os.close(2))
-            with open("/dev/full", "w") as full:
-                return self.run_process(argv, stderr=full, stdout=stdout)
-
-        for argv in (
+    @pytest.mark.skipif(os.name != "posix", reason="closes fd 2 before exec")
+    @pytest.mark.parametrize(
+        "argv",
+        [
             ["gap", "1"],
             ["secrecy", "--beta-sd", "1", "--beta-se", "2", "--snr-se-db", "0", "--snr-sd-db", "0"],
-            ["sample", "--law", "gg", "--count", "10"],
-            ["verify", "--quick"],
-        ):
-            want = self.run_process(argv, stdout=subprocess.PIPE)
-            assert want.returncode == 0, (argv, want.stderr)
-            got = run(argv)
-            assert (got.returncode, got.stdout) == (0, want.stdout), argv
-        got = run(["gap", "1e-320"])
+            pytest.param(["sample", "--law", "gg", "--count", "10"], marks=needs_numpy),
+            pytest.param(["verify", "--quick"], marks=needs_numpy),
+        ],
+        ids=["gap", "secrecy", "sample", "verify"],
+    )
+    @pytest.mark.parametrize("stderr", ["closed", "full"])
+    def test_unwritable_stderr_keeps_stdout_and_exit_code(self, stderr, argv):
+        # each command prints what it prints with stderr open and keeps its code
+        want = self.run_process(argv, stdout=subprocess.PIPE)
+        assert want.returncode == 0, want.stderr
+        got = self.run_without_stderr(stderr, argv)
+        assert (got.returncode, got.stdout) == (0, want.stdout)
+
+    @pytest.mark.skipif(os.name != "posix", reason="closes fd 2 before exec")
+    @pytest.mark.parametrize("stderr", ["closed", "full"])
+    def test_unwritable_stderr_keeps_usage_error_exit_code(self, stderr):
+        # a usage error whose note finds no stderr still exits 1 and writes no stdout
+        got = self.run_without_stderr(stderr, ["gap", "1e-320"])
         assert (got.returncode, got.stdout) == (1, b"")
-        if os.path.exists("/dev/full"):  # a full stdout is a usage error whose note finds no stderr
+        if os.path.exists("/dev/full"):  # a full stdout is such a usage error too
             with open("/dev/full", "w") as full:
-                assert run(["gap", "1"], stdout=full).returncode == 1
+                assert self.run_without_stderr(stderr, ["gap", "1"], stdout=full).returncode == 1
