@@ -8,8 +8,9 @@ and returns it with its exit code and stderr note to `main`, the one writer,
 so a usage error leaves stdout empty, no --out file and one stderr line.
 
 Exit codes: 0 success, 1 usage error (including an output that cannot be
-written), 2 numeric non-convergence, 3 verification failure. A closed or
-full stderr gets nothing and changes no exit code.
+written, and `sample` or `verify` without numpy), 2 numeric
+non-convergence, 3 verification failure. A closed or full stderr gets
+nothing and changes no exit code.
 """
 
 import argparse
@@ -170,13 +171,13 @@ def cmd_secrecy(args, config):
 
 
 def cmd_sample(args, config):
-    from ._rows import format_9g  # compiled only for the command that writes rows
-
     if args.law == "gg":
         module, law = _gg, _gg.GGNoise(beta=args.beta, scale=args.scale, mean=args.mean)
     else:
         module, law = _fading, _fading.AlphaMuFading(alpha=args.alpha, mu=args.mu, h_root=args.h_root)
     count = _capped("--count", integer("--count", args.count, 1))
+    from ._rows import format_9g  # numpy, for the command that writes rows, after its arguments are checked
+
     with warnings.catch_warnings():  # process-wide, so it also quiets the worker threads
         warnings.simplefilter("ignore", RuntimeWarning)
         draws = module.sample(law, config.seed, count, threads=config.threads)
@@ -300,6 +301,10 @@ def main(argv=None):
         _emit(chunks, out)  # a failed write makes its usage error the only note
     except DomainError as exc:
         code, note = 1, "usage error: %s\n" % exc
+    except ModuleNotFoundError as exc:
+        if exc.name != "numpy":
+            raise
+        code, note = 1, "usage error: %s needs numpy, which is not installed\n" % args.command
     except QuadratureError as exc:
         code, note = 2, "quadrature failure: %s (estimate=%r, error=%r)\n" % (exc, exc.estimate, exc.error_indicator)
     if note and sys.stderr is not None:  # a closed or full stderr gets nothing and keeps the code

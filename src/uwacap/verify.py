@@ -27,6 +27,7 @@ _BLOCK_ELEMENTS = 2**16  # quadrature nodes evaluated at once; each of the two b
 _FIRST_GRID_POINTS = 2001  # ceiling of output_density's first grid; each retry doubles its steps
 _MAX_GRID_POINTS = 20_000  # output_density stops doubling its grid once it reaches this size
 _GG_TRUNCATION = 1e-8  # tail mass gg_density_grid leaves outside its grid
+_OUTPUT_TRUNCATION = 1e-10  # tail mass output_density leaves outside its grid unless told otherwise
 _MI_SLACK = 1e-8  # bits the grid MI may leave the sandwich by: 2e-9 at beta 2, where the bounds meet
 
 
@@ -176,6 +177,15 @@ def _panel_edges(law, power, radius):
     return np.concatenate([-regular[::-1], -graded[::-1], [0.0], graded, regular])
 
 
+def _window_radii(law, power, truncation_mass=_OUTPUT_TRUNCATION):
+    """(R_N, R_X): the radii that leave half of ``truncation_mass`` each in the tails of the noise and of the input.
+
+    The noise is ``law``, about its mean; the input is Normal(0, ``power``), the GG law with beta = 2, scale sqrt(2P).
+    """
+    half = 0.5 * truncation_mass
+    return _gg.tail_radius(law, half), _gg.tail_radius(_gg.GGNoise(2.0, math.sqrt(2.0 * power)), half)
+
+
 def _convolved_values(law, power, points, noise_radius, input_radius):
     """f_Y at ``points``: the convolution integral over each point's own window.
 
@@ -233,7 +243,7 @@ def _trapezoid_weights(points):
     return 0.5 * (padded[2:] - padded[:-2])
 
 
-def output_density(config, truncation_mass=1e-10):
+def output_density(config, truncation_mass=_OUTPUT_TRUNCATION):
     """Density of Y = X + N with X ~ Normal(0, P), by vectorized convolution.
 
     Each value f_Y(y) = integral f_N(n) * phi_P(y - n) dn is composite
@@ -269,8 +279,7 @@ def output_density(config, truncation_mass=1e-10):
     """
     law = config.noise
     power = real("signal_power", config.signal_power, 0.0)
-    noise_radius = _gg.tail_radius(law, 0.5 * truncation_mass)
-    input_radius = _gg.tail_radius(_gg.GGNoise(2.0, math.sqrt(2.0 * power)), 0.5 * truncation_mass)
+    noise_radius, input_radius = _window_radii(law, power, truncation_mass)
     half_width = noise_radius + input_radius
     count = min(_FIRST_GRID_POINTS, 2 * math.ceil(4.0 * half_width / math.sqrt(power)) + 1)
     while True:

@@ -241,21 +241,23 @@ class TestSecrecyCommand:
         assert err == "usage error: %s must be a finite real > 0, got %s\n" % (shape, float(bad))
 
 
-@needs_numpy
 class TestSampleCommand:
     LAWS = [
         (["gg", "--beta", "0.8", "--scale", "2.5", "--mean", "-1.5"], gg_noise, gg_noise.GGNoise(0.8, 2.5, -1.5)),
         (["alpha-mu", "--alpha", "2.5", "--mu", "1.5", "--h-root", "0.7"], fading, fading.AlphaMuFading(2.5, 1.5, 0.7)),
     ]
 
+    @needs_numpy
     def test_determinism_and_thread_invariance(self, capsys):
         args = ["--seed", "5", "sample", "--law", "gg", "--beta", "1", "--count", "50"]
-        _, out1, _ = run_cli(capsys, *args)
+        code, out1, _ = run_cli(capsys, *args)
+        assert code == 0
         _, out2, _ = run_cli(capsys, *args)
         assert out1 == out2
         _, out8, _ = run_cli(capsys, "--threads", "8", *args)
         assert out1 == out8
 
+    @needs_numpy
     def test_fading_law(self, capsys):
         code, out, _ = run_cli(
             capsys, "sample", "--law", "alpha-mu", "--alpha", "2", "--mu", "1", "--count", "10"
@@ -301,6 +303,7 @@ class TestSampleCommand:
         assert run_cli(capsys, "--se", "5", *args) == run_cli(capsys, "--seed", "5", *args)
         assert run_cli(capsys, "--samp", "2000", "gap", "1")[0] == 0
 
+    @needs_numpy
     @pytest.mark.parametrize("threads", ["1", "2"])
     @pytest.mark.parametrize("argv,module,law", LAWS, ids=["gg", "alpha-mu"])
     def test_draws_are_the_eight_chunk_library_draws(self, capsys, threads, argv, module, law):
@@ -310,6 +313,7 @@ class TestSampleCommand:
         expected = ["%.9g" % v for v in module.sample(law, 7, 3000, chunks=8, threads=1)]
         assert out.splitlines() == ["value"] + expected
 
+    @needs_numpy
     @pytest.mark.parametrize("threads", ["1", "2"])
     @pytest.mark.parametrize(
         "law,name", [(["gg", "--beta", "0.005"], "GGNoise"), (["alpha-mu", "--alpha", "1e-5"], "AlphaMuFading")]
@@ -323,6 +327,7 @@ class TestSampleCommand:
         assert err.startswith("usage error: draws of %s(" % name)
         assert err.count("\n") == 1
 
+    @needs_numpy  # the gamma-zeros check lives in the samplers, behind their numpy import
     @pytest.mark.parametrize(
         "law,name",
         [
@@ -338,6 +343,7 @@ class TestSampleCommand:
         assert err.startswith("usage error: %s" % name)
         assert err.count("\n") == 1
 
+    @needs_numpy
     @pytest.mark.parametrize(
         "law", [["gg", "--beta", "20"], ["alpha-mu", "--alpha", "1000", "--mu", "0.05"]], ids=["gg20", "alpha-mu"]
     )
@@ -346,6 +352,7 @@ class TestSampleCommand:
         assert (code, err) == (0, "")
         assert len(parse_csv(out)[1]) == 5
 
+    @needs_numpy
     @pytest.mark.parametrize("position", [0, cli._BLOCK, -1], ids=["first", "second block", "last"])
     def test_a_non_finite_draw_in_any_block_writes_nothing(self, monkeypatch, tmp_path, capsys, position):
         # the draws are checked a block at a time, and every block before the file is opened
@@ -364,10 +371,20 @@ class TestSampleCommand:
         assert err.startswith("usage error: draws of GGNoise(")
         assert not target.exists()
 
+    @needs_numpy
     @pytest.mark.parametrize(
         "count", [1, cli._BLOCK - 1, cli._BLOCK, cli._BLOCK + 1, 3 * cli._BLOCK + 7], ids=["1", "B-1", "B", "B+1", "3B+7"]
     )
-    @pytest.mark.parametrize("argv,module,law", LAWS, ids=["gg", "alpha-mu"])
+    @pytest.mark.parametrize(
+        "argv,module,law",
+        [
+            *LAWS,
+            # about 8% of these rows print in e-notation, and a scale of 1e-200 gives 3-digit exponents
+            (["alpha-mu", "--alpha", "0.5", "--mu", "0.5"], fading, fading.AlphaMuFading(0.5, 0.5)),
+            (["gg", "--scale", "1e-200", "--mean", "0"], gg_noise, gg_noise.GGNoise(2.0, 1e-200, 0.0)),
+        ],
+        ids=["gg", "alpha-mu", "alpha-mu-e-notation", "gg-3-digit-exponents"],
+    )
     def test_blocks_are_the_rows_of_the_draws(self, tmp_path, capsys, count, argv, module, law):
         expected = "value\n" + "".join("%.9g\n" % v for v in module.sample(law, 11, count))
         args = ["sample", "--law", *argv, "--count", str(count)]
@@ -376,6 +393,7 @@ class TestSampleCommand:
         assert run_cli(capsys, "--seed", "11", "--out", str(target), *args) == (0, "", "")
         assert target.read_bytes() == expected.encode()
 
+    @needs_numpy
     def test_output_is_not_held_whole(self, tmp_path, capsys):
         # 10**6 draws are 8 MB; their rows held as one list of strings would take about 100 MB,
         # and per-chunk draws joined by a copy would hold them twice
@@ -394,8 +412,8 @@ class TestSampleCommand:
     @pytest.mark.parametrize(
         "argv",
         [
-            ["sample", "--law", "gg", "--count", "1000000"],
-            ["sample", "--law", "alpha-mu", "--count", "1000000"],
+            pytest.param(["sample", "--law", "gg", "--count", "1000000"], marks=needs_numpy),
+            pytest.param(["sample", "--law", "alpha-mu", "--count", "1000000"], marks=needs_numpy),
             ["capacity", "--beta", "2", "--snr-db", "0:100:0.001"],
         ],
         ids=["sample-gg", "sample-alpha-mu", "capacity"],
@@ -453,12 +471,32 @@ class TestVerifyCommand:
 
 @needs_numpy
 class TestVerifyQuadRtol:
-    def test_quad_rtol_does_not_change_verify(self, capsys):
-        # --quad-rtol tunes only the ergodic rule; no verify row reads it
-        default = run_cli(capsys, "--seed", "7", "verify", "--quick")
-        loose = run_cli(capsys, "--seed", "7", "--quad-rtol", "0.5", "verify", "--quick")
+    @pytest.mark.parametrize("flags", [["--quad-rtol", "0.5"], ["--threads", "2"]], ids=["quad-rtol", "threads"])
+    @pytest.mark.parametrize("suite", [["--quick"], []], ids=["quick", "full"])
+    def test_tuning_flags_do_not_change_verify(self, capsys, suite, flags):
+        # --quad-rtol tunes only the ergodic rule, which no verify row reads, and --threads never changes output
+        default = run_cli(capsys, "--seed", "7", "verify", *suite)
         assert default[0] == 0
-        assert loose == default
+        assert run_cli(capsys, "--seed", "7", *flags, "verify", *suite) == default
+
+
+class TestWithoutNumpy:
+    """`sample` and `verify` on a Python without numpy: one usage error line that names it, after the arguments."""
+
+    @pytest.mark.parametrize(
+        "argv,err",
+        [
+            (["sample", "--law", "gg", "--count", "5"], b"usage error: sample needs numpy, which is not installed\n"),
+            (["sample", "--law", "gg", "--count", "0"], b"usage error: --count must be an integer >= 1, got 0\n"),
+            (["verify", "--quick"], b"usage error: verify needs numpy, which is not installed\n"),
+        ],
+        ids=["sample", "sample-count", "verify"],
+    )
+    def test_one_line_names_numpy(self, argv, err):
+        # None in sys.modules makes `import numpy` raise ModuleNotFoundError, as a Python without numpy does
+        code = "import sys; sys.modules['numpy'] = None; from uwacap.cli import run; run()"
+        proc = subprocess.run([sys.executable, "-c", code, *argv], capture_output=True, env=package_env(), timeout=60)
+        assert (proc.returncode, proc.stdout, proc.stderr) == (1, b"", err)
 
 
 class TestDecibelOverflow:
@@ -555,8 +593,8 @@ class TestRowCap:
     @pytest.mark.parametrize(
         "argv",
         [
-            pytest.param(["--samples", "100", "sample", "--law", "gg", "--count", "101"], marks=needs_numpy),
-            pytest.param(["--samples", "100", "sample", "--law", "alpha-mu", "--count", "101"], marks=needs_numpy),
+            ["--samples", "100", "sample", "--law", "gg", "--count", "101"],
+            ["--samples", "100", "sample", "--law", "alpha-mu", "--count", "101"],
             ["--samples", "101", "verify", "--quick"],
         ],
     )

@@ -130,7 +130,7 @@ class TestPanelEdges:
     @pytest.mark.parametrize("beta", [0.3, 1.0, 2.0, 20.0])
     def test_layout(self, beta, power):
         law = gg.with_variance(beta, 1.0)
-        radius = gg.tail_radius(law, 0.5e-10)
+        radius = verify._window_radii(law, 1.0)[0]  # output_density's noise radius, which the power does not move
         edges = verify._panel_edges(law, power, radius)
         assert np.all(np.diff(edges) > 0)
         # symmetric about the cusp, which is an edge; the right half is laid out as follows
@@ -204,8 +204,7 @@ class TestOutputDensity:
         # still approaches the noise pdf
         noise = gg.with_variance(1.0, 1.0)
         power = 1e-12 * gg.variance(noise)
-        noise_radius = gg.tail_radius(noise, 0.5e-10)
-        input_radius = gg.tail_radius(gg.GGNoise(2.0, math.sqrt(2.0 * power)), 0.5e-10)
+        noise_radius, input_radius = verify._window_radii(noise, power)
         points = np.linspace(-1.0, 1.0, 2001) * (noise_radius + input_radius)
         values = verify._convolved_values(noise, power, points, noise_radius, input_radius)
         assert np.max(np.abs(values - gg.pdf(noise, points))) < 1e-6
@@ -297,8 +296,7 @@ class TestConvolutionOracle:
     )
     def test_matches_mpmath(self, beta, power, y):
         law = gg.with_variance(beta, 1.0)
-        noise_radius = gg.tail_radius(law, 0.5e-10)
-        input_radius = gg.tail_radius(gg.GGNoise(2.0, math.sqrt(2.0 * power)), 0.5e-10)
+        noise_radius, input_radius = verify._window_radii(law, power)
         got = verify._convolved_values(law, power, np.array([y]), noise_radius, input_radius)[0]
         want = _windowed_convolution(law, power, y, noise_radius, input_radius)
         assert want > 0
@@ -339,8 +337,7 @@ class TestConvolutionKernel:
     def test_in_place_blocks_match_the_reference_bit_for_bit(self, monkeypatch, beta, power, mean):
         monkeypatch.setattr(verify, "_BLOCK_ELEMENTS", 2**10)  # 51 panels a block, so many blocks
         law = gg.GGNoise(beta, gg.with_variance(beta, 1.0).scale, mean)
-        noise_radius = gg.tail_radius(law, 0.5e-10)
-        input_radius = gg.tail_radius(gg.GGNoise(2.0, math.sqrt(2.0 * power)), 0.5e-10)
+        noise_radius, input_radius = verify._window_radii(law, power)
         points = mean + np.linspace(-1.0, 1.0, 501) * (noise_radius + input_radius)
         got = verify._convolved_values(law, power, points, noise_radius, input_radius)
         want = _out_of_place_convolved_values(law, power, points, noise_radius, input_radius)
@@ -354,7 +351,7 @@ class TestConvolutionKernel:
         radius = 66 * law.scale
         edges = verify._panel_edges(law, power, radius)
         assert -radius < edges[0] == -edges[-1] and edges[-1] < radius
-        input_radius = gg.tail_radius(gg.GGNoise(2.0, math.sqrt(2.0 * power)), 0.5e-10)
+        input_radius = verify._window_radii(law, power)[1]
         points = np.linspace(-1.0, 1.0, 201) * (radius + input_radius)
         got = verify._convolved_values(law, power, points, radius, input_radius)
         assert np.array_equal(verify._panel_edges(law, power, float(edges[-1])), edges)
@@ -525,7 +522,7 @@ class TestNonzeroMean:
         edges = verify._panel_edges(law, 1.0, 2.0)
         radius = float(edges[len(edges) // 2 + 15])
         assert verify._panel_edges(law, 1.0, radius)[-1] == radius < mean - (mean - radius)
-        input_radius = gg.tail_radius(gg.GGNoise(2.0, math.sqrt(2.0)), 0.5e-10)
+        input_radius = verify._window_radii(law, 1.0)[1]
         points = np.linspace(-1.0, 1.0, 101) * (radius + input_radius)
         centred = verify._convolved_values(law, 1.0, points, radius, input_radius)
         shifted = verify._convolved_values(gg.GGNoise(law.beta, law.scale, mean), 1.0, mean + points, radius, input_radius)
@@ -554,8 +551,7 @@ class TestFirstGridStep:
         law = gg.with_variance(beta, 1.0)
         grid = verify.output_density(capacity.ChannelConfig(snr, law))
         points = np.linspace(grid.points[0], grid.points[-1], 2 * len(grid.points) - 1)
-        noise_radius = gg.tail_radius(law, 0.5e-10)
-        input_radius = gg.tail_radius(gg.GGNoise(2.0, math.sqrt(2.0 * snr)), 0.5e-10)
+        noise_radius, input_radius = verify._window_radii(law, snr)
         values = verify._convolved_values(law, snr, points, noise_radius, input_radius)
         finer = verify.DensityGrid(points, values, 1e-10, verify._trapezoid_weights(points))
         assert finer.landed
