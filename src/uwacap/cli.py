@@ -176,11 +176,10 @@ def cmd_sample(args, config):
     else:
         module, law = _fading, _fading.AlphaMuFading(alpha=args.alpha, mu=args.mu, h_root=args.h_root)
     count = _capped("--count", integer("--count", args.count, 1))
-    from ._rows import format_9g  # numpy, for the command that writes rows, after its arguments are checked
-
     with warnings.catch_warnings():  # process-wide, so it also quiets the worker threads
         warnings.simplefilter("ignore", RuntimeWarning)
         draws = module.sample(law, config.seed, count, threads=config.threads)
+    from ._rows import format_9g  # numpy, loaded by the draws; after them, so a law out of range is named first
     # two reductions, non-finite if any draw is NaN or +-inf; neither allocates, and both run before the first row
     if not (math.isfinite(draws.min()) and math.isfinite(draws.max())):
         raise DomainError("draws of %r lie beyond the float range" % (law,))

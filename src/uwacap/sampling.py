@@ -7,8 +7,6 @@ One thread draws every chunk in the calling thread; more start a pool.
 
 import math
 
-import numpy as np
-
 from .numerics import DomainError, integer
 
 _ZERO_BITS = 1075  # a gamma variate below 2**-1075 rounds to 0.0
@@ -17,6 +15,8 @@ _KEPT_BITS = 53  # zeros rarer than 2**-53, or standing for less than 2**-53 of 
 
 def chunk_rng(seed, index):
     """Independent generator for one chunk of a (seed, chunks) sampling plan."""
+    import numpy as np  # here and in chunked_draw, so that check_gamma_zeros runs without numpy
+
     return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(index,)))
 
 
@@ -51,6 +51,8 @@ def chunked_draw(draw, seed, count, chunks=8, threads=1):
     base, extra = divmod(integer("count", count, 1), chunks)
     seed, threads = integer("seed", seed, 0), integer("threads", threads, 1)
     edges = [i * base + min(i, extra) for i in range(chunks + 1)]  # the first `extra` chunks draw one more
+    import numpy as np
+
     out = np.empty(edges[-1])
 
     def one(i):

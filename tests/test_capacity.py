@@ -1,9 +1,9 @@
 import math
 
-import mpmath
-import numpy as np
 import pytest
-from scipy.special import exp1
+
+mpmath = pytest.importorskip("mpmath")
+np = pytest.importorskip("numpy")
 
 from uwacap import capacity, fading, gg_noise as gg, secrecy
 from uwacap.cli import main
@@ -15,6 +15,7 @@ RAYLEIGH_SNRS = [10.0 ** (k / 100.0) for k in range(-100, 601)]
 
 def rayleigh_ergodic_bits(snr_avg):
     """Closed-form Rayleigh ergodic capacity e**(1/r) E1(1/r) / (2 ln 2)."""
+    exp1 = pytest.importorskip("scipy.special").exp1
     return math.exp(1.0 / snr_avg) * float(exp1(1.0 / snr_avg)) / (2.0 * math.log(2.0))
 
 

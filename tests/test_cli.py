@@ -7,7 +7,7 @@ import warnings
 
 import pytest
 
-from conftest import needs_numpy, package_env
+from conftest import child_max_rss_mb, needs_numpy, package_env
 from uwacap import capacity, cli, fading, gg_noise
 from uwacap.cli import main
 from uwacap.numerics import DomainError, QuadratureError
@@ -327,7 +327,6 @@ class TestSampleCommand:
         assert err.startswith("usage error: draws of %s(" % name)
         assert err.count("\n") == 1
 
-    @needs_numpy  # the gamma-zeros check lives in the samplers, behind their numpy import
     @pytest.mark.parametrize(
         "law,name",
         [
@@ -409,6 +408,12 @@ class TestSampleCommand:
         assert peak < 1.5 * 8_000_000  # the draws once, plus one chunk's signs and one block's rows
         assert (tmp_path / "draws.csv").stat().st_size > 10**7
 
+    @needs_numpy
+    def test_ten_million_draws_within_170_mb_of_rss(self):
+        # the draws are 80 MB and are allocated once; a second copy of them would pass the bound
+        rss = child_max_rss_mb("-m", "uwacap.cli", "--out", os.devnull, "sample", "--law", "gg", "--count", "10000000")
+        assert rss <= 170, "sample --count 10000000: child max RSS %.1f MB" % rss
+
     @pytest.mark.parametrize(
         "argv",
         [
@@ -488,9 +493,15 @@ class TestWithoutNumpy:
         [
             (["sample", "--law", "gg", "--count", "5"], b"usage error: sample needs numpy, which is not installed\n"),
             (["sample", "--law", "gg", "--count", "0"], b"usage error: --count must be an integer >= 1, got 0\n"),
+            (
+                ["sample", "--law", "gg", "--beta", "21", "--count", "5"],
+                b"usage error: GGNoise(beta=21.0, scale=1.0, mean=0.0) is out of range for sampling: its"
+                b" Gamma(0.047619047619047616) variates round to 0 with probability 2**-51.19, each in place of"
+                b" a draw up to 2**-51.19 of its scale\n",
+            ),
             (["verify", "--quick"], b"usage error: verify needs numpy, which is not installed\n"),
         ],
-        ids=["sample", "sample-count", "verify"],
+        ids=["sample", "sample-count", "sample-beta", "verify"],
     )
     def test_one_line_names_numpy(self, argv, err):
         # None in sys.modules makes `import numpy` raise ModuleNotFoundError, as a Python without numpy does

@@ -2,10 +2,10 @@ import math
 import sys
 import tracemalloc
 
-import mpmath
-import numpy as np
 import pytest
-from scipy import stats
+
+mpmath = pytest.importorskip("mpmath")
+np = pytest.importorskip("numpy")
 
 from uwacap import fading, sampling
 from uwacap.numerics import DomainError
@@ -15,6 +15,7 @@ PARAM_GRID = [0.5, 1.0, 2.0, 4.0]
 
 def gengamma(law):
     """The same law in SciPy's parametrization: mu * (h / h_root)**alpha ~ Gamma(mu, 1)."""
+    stats = pytest.importorskip("scipy.stats")
     return stats.gengamma(a=law.mu, c=law.alpha, scale=law.h_root * law.mu ** (-1.0 / law.alpha))
 
 
@@ -95,6 +96,7 @@ class TestSampling:
         n = 10_000
         law = fading.AlphaMuFading(alpha, mu, 1.0)
         draws = fading.sample(law, 7, n)
+        stats = pytest.importorskip("scipy.stats")
         statistic = stats.kstest(draws, gengamma(law).cdf).statistic
         assert statistic < 1.6276 / math.sqrt(n)
 

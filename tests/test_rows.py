@@ -1,11 +1,13 @@
 """``_rows.format_9g`` against Python's own ``"%.9g\\n"``, row for row."""
 
-import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import run_fresh
+
+np = pytest.importorskip("numpy")
+
 from uwacap._rows import format_9g
 
 

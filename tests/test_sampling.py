@@ -1,7 +1,8 @@
 import threading
 
-import numpy as np
 import pytest
+
+np = pytest.importorskip("numpy")
 
 from uwacap import sampling
 

@@ -1,6 +1,5 @@
 import math
 
-import numpy as np
 import pytest
 
 from uwacap import capacity, secrecy
@@ -11,7 +10,7 @@ TINY_BETAS = [5e-324, 1e-320, math.nextafter(1.1718826319535557e-305, 0.0)]
 
 
 def random_scenarios(count, seed=101):
-    rng = np.random.default_rng(seed)
+    rng = pytest.importorskip("numpy").random.default_rng(seed)
     snr_sd = 10.0 ** rng.uniform(-2.0, 2.0, count)
     snr_se = 10.0 ** rng.uniform(-2.0, 2.0, count)
     beta_sd = 10.0 ** rng.uniform(-0.6, 0.6, count)
@@ -74,7 +73,7 @@ class TestAwggnRate:
         assert secrecy.secrecy_rate_awggn(scenario) == pytest.approx(expected, rel=1e-12)
 
     def test_nonnegative_and_monotone_in_snr_sd(self):
-        grid = np.linspace(0.0, 20.0, 200)
+        grid = pytest.importorskip("numpy").linspace(0.0, 20.0, 200)
         rates = [
             secrecy.secrecy_rate_awggn(secrecy.SecrecyScenario(s, 2.0, 1.5, 0.8))
             for s in grid

@@ -1,15 +1,19 @@
 import math
+import pathlib
 import tracemalloc
 
-import mpmath
-import numpy as np
 import pytest
 
-from conftest import run_fresh
+from conftest import child_max_rss_mb, run_fresh
+
+np = pytest.importorskip("numpy")
+mpmath = pytest.importorskip("mpmath")
+
 from uwacap import capacity, gg_noise as gg, numerics, verify
 from uwacap.config import SimConfig
 from uwacap.numerics import DomainError, QuadratureError
 
+PERFBENCH = pathlib.Path(__file__).resolve().parents[1] / "perfbench"
 BETA_GRID = [0.5, 0.8, 1.0, 1.5, 2.0, 3.0]
 
 
@@ -424,6 +428,29 @@ class TestRunChecks:
         assert "integrate" not in vars(verify)
         assert grids == ([1.0, 2.0] if quick else BETA_GRID)
         assert all(row[3] for row in rows)
+
+    def test_perfbench_finds_every_traced_name_and_the_row_count(self):
+        # the benchmark runs untraced, so a deleted or renamed traced function would otherwise go unnoticed
+        code = (
+            "import sys; sys.path.insert(0, %r)\n"
+            "import spans, workloads\n"
+            "from uwacap import verify\n"
+            "from uwacap.config import SimConfig\n"
+            "spans.install(spans.Recorder())\n"
+            "spans.uninstall()\n"
+            "print(len(verify.run_checks(SimConfig(), False)), workloads.VerifyFull.CHECKS)\n"
+        ) % str(PERFBENCH)
+        rows, pinned = run_fresh(code).split()
+        assert rows == pinned
+
+    def test_full_suite_within_4_mb_of_rss_over_its_imports(self):
+        # verify grows about 2.7 MB past its imports: the convolution works in blocks of two 512 KB arrays.
+        # Blocks evaluated out of place grew it by 3.7 MB, and by 9.7 MB at four times the block size;
+        # importing numpy.polynomial for the Gauss-Legendre rule, a worker thread at --threads 1 and an
+        # out-of-place log_pdf once took it to 6.3 MB
+        imports = child_max_rss_mb("-c", "import numpy.random, uwacap.cli, uwacap.verify")
+        run = child_max_rss_mb("-m", "uwacap.cli", "verify")
+        assert run - imports <= 4, "verify: child max RSS %.1f MB, %.1f MB over its imports" % (run, run - imports)
 
     def test_pdf_mass_is_the_density_grid_mass(self, full_run):
         # the grid leaves exactly truncation_mass outside, so the rest is the pdf's mass
