@@ -15,7 +15,7 @@ import numpy as np
 
 from . import gg_noise as _gg
 from .capacity import ChannelConfig, awggn_bounds, gap
-from .numerics import DomainError, QuadratureError, real, to_units, tolerance
+from .numerics import DomainError, QuadratureError, integer, real, to_units, tolerance
 
 _BETA_RANGE = (0.3, 20.0)  # shapes whose panel quadrature is checked against an mpmath oracle
 _GL_ORDER = 20  # Gauss-Legendre nodes per panel
@@ -106,8 +106,7 @@ def gg_density_grid(law):
 
 def mc_entropy(law, config):
     """Resubstitution entropy estimate -(1/n) sum log pdf(N_i) with its standard error."""
-    if config.samples < 1_000:
-        raise DomainError("mc_entropy needs at least 1000 samples")
+    integer("samples", config.samples, 1000)
     log_p = _gg.log_pdf(law, _gg.sample(law, config.seed, config.samples, threads=config.threads))
     estimate = -float(np.mean(log_p))
     std_error = float(np.std(log_p, ddof=1)) / math.sqrt(config.samples)

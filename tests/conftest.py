@@ -1,11 +1,14 @@
-"""Helpers for tests that start a fresh interpreter.
+"""Helpers for tests that start a fresh interpreter, and the mpmath references.
 
 Every job runs the whole suite with one command. Each test module asks for the
 packages it needs with ``pytest.importorskip``, so a test whose package is not
-installed skips and names it. This file needs no third-party package but pytest.
+installed skips and names it. mpmath is the one reference for special
+functions; the helpers below import it inside themselves, so this file needs no
+third-party package but pytest.
 """
 
 import importlib.util
+import math
 import os
 import pathlib
 import subprocess
@@ -51,3 +54,44 @@ def child_max_rss_mb(*argv):
     returncode, kib = run_fresh(code).split()
     assert returncode == "0", argv
     return int(kib) / 1024
+
+
+def rayleigh_ergodic_bits(snr_avg):
+    """Closed-form Rayleigh ergodic capacity e**(1/r) E1(1/r) / (2 ln 2) (W. C. Y. Lee, IEEE TVT 1990)."""
+    import mpmath
+
+    return math.exp(1.0 / snr_avg) * float(mpmath.e1(1.0 / snr_avg)) / (2.0 * math.log(2.0))
+
+
+def gamma_ks_statistic(variates, shape):
+    """Two-sided Kolmogorov-Smirnov statistic D of the variates against the Gamma(shape, 1) CDF, exactly."""
+    import mpmath
+
+    x = sorted(map(float, variates))
+    n = len(x)
+    cdf = [mpmath.fp.gammainc(shape, 0.0, t, regularized=True) for t in x]
+    return max(max((i + 1) / n - f, f - i / n) for i, f in enumerate(cdf))
+
+
+def gamma_tail_quantile(a, mass):
+    """x with Q(a, x) = mass, Q the regularized upper incomplete gamma.
+
+    Solves ln Q(a, e**y) = ln mass in y at 30 digits, on a bracket that doubles
+    outward from y = ln a until ln Q changes sign across it.
+    """
+    import mpmath
+
+    with mpmath.workdps(30):
+        a, target = mpmath.mpf(a), mpmath.log(mass)
+
+        def excess(y):
+            return mpmath.log(mpmath.gammainc(a, mpmath.exp(y), mpmath.inf, regularized=True)) - target
+
+        lo = hi = mpmath.log(a)
+        step = 1
+        while excess(lo) < 0:
+            lo, step = lo - step, 2 * step
+        step = 1
+        while excess(hi) > 0:
+            hi, step = hi + step, 2 * step
+        return float(mpmath.exp(mpmath.findroot(excess, (lo, hi), solver="pegasus")))

@@ -5,18 +5,13 @@ import pytest
 mpmath = pytest.importorskip("mpmath")
 np = pytest.importorskip("numpy")
 
+from conftest import rayleigh_ergodic_bits
 from uwacap import capacity, fading, gg_noise as gg, secrecy
 from uwacap.cli import main
 from uwacap.numerics import DomainError, QuadratureError
 
 # every 0.1 dB from -10 to 60 dB; -10, 0 and 10 dB land exactly on 0.1, 1 and 10
 RAYLEIGH_SNRS = [10.0 ** (k / 100.0) for k in range(-100, 601)]
-
-
-def rayleigh_ergodic_bits(snr_avg):
-    """Closed-form Rayleigh ergodic capacity e**(1/r) E1(1/r) / (2 ln 2)."""
-    exp1 = pytest.importorskip("scipy.special").exp1
-    return math.exp(1.0 / snr_avg) * float(exp1(1.0 / snr_avg)) / (2.0 * math.log(2.0))
 
 
 class TestGap:

@@ -449,6 +449,11 @@ class TestVerifyCommand:
         code, out, _ = run_cli(capsys, "--samples", "1000", "verify", "--quick")
         assert code == 0
 
+    def test_sample_budget_below_the_floor_names_samples(self, capsys):
+        assert run_cli(capsys, "--samples", "999", "verify", "--quick") == (
+            1, "", "usage error: samples must be an integer >= 1000, got 999\n"
+        )
+
     def test_seed_change_keeps_verdict(self, capsys):
         code1, out1, _ = run_cli(capsys, "--samples", "5000", "--seed", "1", "verify", "--quick")
         code2, out2, _ = run_cli(capsys, "--samples", "5000", "--seed", "2", "verify", "--quick")

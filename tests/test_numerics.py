@@ -7,7 +7,7 @@ mpmath = pytest.importorskip("mpmath")
 np = pytest.importorskip("numpy")
 
 import uwacap
-from conftest import run_fresh
+from conftest import gamma_tail_quantile, run_fresh
 from uwacap import gg_noise, numerics
 from uwacap.numerics import (
     DomainError,
@@ -239,10 +239,9 @@ class TestLogGammaQ:
 class TestGammaTailLogQuantile:
     @pytest.mark.parametrize("a", [1 / 0.3, 2.0, 1.25, 1.0, 1 / 1.5, 0.5, 1 / 3, 0.2, 0.1, 0.05, 50.0, 1e3])
     def test_matches_inverse_incomplete_gamma(self, a):
-        special = pytest.importorskip("scipy.special")
         for mass in (1e-300, 1e-100, 1e-30, 1e-10, 5e-11, 1e-8, 1e-3, 0.1, 0.5, 0.9, 0.999):
             y = gamma_tail_log_quantile(a, mass)
-            assert math.exp(y) == pytest.approx(special.gammainccinv(a, mass), rel=1e-13)
+            assert math.exp(y) == pytest.approx(gamma_tail_quantile(a, mass), rel=1e-13)
 
     @pytest.mark.parametrize("mass", [0.0, 1.0, -0.5, math.nan, "abc", None])
     def test_invalid_mass(self, mass):
