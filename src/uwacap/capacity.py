@@ -148,7 +148,11 @@ def ergodic_awgn_capacity(snr_avg, fading, rtol=DEFAULT_RTOL, units="bits"):
     It is also log-concave, so once the lattice values fall their ratios keep
     falling, and each side is cut where a geometric bound puts the rest below
     rtol/1000 of the sum. The lattice is centred on the mode, with a first
-    step no wider than the integrand there. Past MAX_EVALUATIONS integrand
+    step no wider than the integrand there. With z = 2v/alpha + ln c, w the
+    log weight mu * (v - expm1(v)) and peak the ln of the integrand at the
+    centre (the one value taken in logs), each lattice value is
+    softplus(z) * e**(w - peak), or e**(z + w - peak) where z < -37 and
+    softplus(z) is e**z to the last bit. Past MAX_EVALUATIONS integrand
     values it raises QuadratureError carrying the last estimate and indicator
     in nats.
     """
@@ -161,20 +165,19 @@ def ergodic_awgn_capacity(snr_avg, fading, rtol=DEFAULT_RTOL, units="bits"):
 
     peak = None
 
-    def phi(v):  # ln of the integrand, up to a constant; once peak is set, e**(that - peak)
+    def phi(v):  # ln of the integrand, up to a constant, while peak is None; then the integrand over e**peak
         z = a * v + log_c
-        if z > 0.0:
-            log_softplus = math.log(z + math.log1p(math.exp(-z)))
-        else:
-            log_softplus = z if z < -37.0 else math.log(math.log1p(math.exp(z)))
         if abs(v) < 1e-4:  # v - expm1(v) cancels, and a huge mu puts the lattice at v ~ 1/sqrt(mu)
-            ln_f = log_softplus - mu * v * v * (0.5 + v * (1.0 / 6.0 + v / 24.0))
+            ln_w = -mu * v * v * (0.5 + v * (1.0 / 6.0 + v / 24.0))
         else:
             try:
-                ln_f = log_softplus + mu * (v - math.expm1(v))
+                ln_w = mu * (v - math.expm1(v))
             except OverflowError:  # e**v past the float range: the weight is 0
-                ln_f = -math.inf
-        return ln_f if peak is None else math.exp(ln_f - peak)
+                return -math.inf if peak is None else 0.0
+        if z < -37.0:  # softplus(z) = e**z to the last bit
+            return z + ln_w if peak is None else math.exp(z + ln_w - peak)
+        softplus = z + math.log1p(math.exp(-z)) if z > 0.0 else math.log1p(math.exp(z))
+        return math.log(softplus) + ln_w if peak is None else softplus * math.exp(ln_w - peak)
 
     # phi is concave, and its slope a * q - mu * expm1(v) is > 0 at v = 0 and < 0
     # at log1p(a / mu): Newton steps inside that bracket find the mode

@@ -29,21 +29,24 @@ class AlphaMuFading(Record):
 def sample(law, seed, count, chunks=8, threads=1):
     """``count`` i.i.d. draws via h = h_root * (G/mu)**(1/alpha), G ~ Gamma(mu, 1).
 
-    Deterministic given (seed, count, chunks). G is drawn straight into the
-    output and transformed in place, so a draw allocates nothing beyond its
-    output. Each chunk costs about 1.7 KB and 70-100 us beyond its draws
-    (measured at 10**5 chunks), and at most one thread runs per chunk; one
-    thread draws every chunk in the calling thread, starting none. A law
-    with mu < 53/1075 and alpha > (1075 + log2 mu)/53, whose gamma variates
-    would round to 0 in place of draws that matter, raises DomainError.
+    Deterministic given (seed, count, chunks). G is drawn by
+    ``sampling.standard_gamma`` (for mu < 1 as Gamma(mu + 1) * U**(1/mu),
+    Marsaglia and Tsang's boost) straight into the output and transformed in
+    place, so a draw allocates little beyond its output: at mu < 1, 64 KB of
+    uniforms per running thread. Each chunk costs about 1.7 KB and 70-100 us
+    beyond its draws (measured at 10**5 chunks), and at most one thread runs
+    per chunk; one thread draws every chunk in the calling thread, starting
+    none. A law with mu < 53/1075 and alpha > (1075 + log2 mu)/53, whose
+    gamma variates would round to 0 in place of draws that matter, raises
+    DomainError.
     """
-    from .sampling import check_gamma_zeros, chunked_draw
+    from .sampling import check_gamma_zeros, chunked_draw, standard_gamma
 
     inv = 1.0 / law.alpha
     check_gamma_zeros(law, law.mu, inv, law.mu)
 
     def draw(rng, out):
-        rng.standard_gamma(law.mu, out=out)
+        standard_gamma(rng, law.mu, out)
         out /= law.mu
         out **= inv
         out *= law.h_root

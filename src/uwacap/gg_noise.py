@@ -128,22 +128,24 @@ def sample(law, seed, count, chunks=8, threads=1):
     """``count`` i.i.d. draws, deterministic given (seed, count, chunks).
 
     Uses the exact representation N = mean + S * scale * G**(1/beta) with S a
-    fair sign and G ~ Gamma(1/beta, 1). G is drawn straight into the output
-    and transformed in place, so a draw allocates its output once plus, per
-    running thread, one chunk's signs. Each chunk costs about 1.7 KB and
+    fair sign and G ~ Gamma(1/beta, 1), drawn by ``sampling.standard_gamma``
+    (for beta > 1 as Gamma(1/beta + 1) * U**beta, Marsaglia and Tsang's boost).
+    G is drawn straight into the output and transformed in place, so a draw
+    allocates its output once plus, per running thread, one chunk's int8
+    signs and, for beta > 1, 64 KB of uniforms. Each chunk costs about 1.7 KB and
     70-100 us beyond its draws (measured at 10**5 chunks), and at most one
     thread runs per chunk; one thread draws every chunk in the calling
     thread, starting none. A shape beta > 1075/53, whose gamma variates would
     round to 0 in place of draws that matter, raises DomainError.
     """
-    from .sampling import check_gamma_zeros, chunked_draw
+    from .sampling import check_gamma_zeros, chunked_draw, standard_gamma
 
     inv = 1.0 / law.beta
     check_gamma_zeros(law, inv, inv)
 
     def draw(rng, out):
-        rng.standard_gamma(inv, out=out)
-        signs = rng.integers(0, 2, len(out))
+        standard_gamma(rng, inv, out)
+        signs = rng.integers(0, 2, len(out), dtype="int8")
         signs *= -2
         signs += 1
         # mean + S * scale * G**inv, bit for bit: multiplying by +-1 is exact

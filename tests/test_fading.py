@@ -45,24 +45,31 @@ class TestSampling:
         ids=["alpha1.3", "alpha2", "alpha0.5"],
     )
     def test_draws_are_the_chunkwise_expression_bit_for_bit(self, law, count, chunks, threads):
-        inv, parts = 1.0 / law.alpha, []
+        # below mu = 1, G is Gamma(mu + 1) boosted by U**(1/mu)
+        inv, mu, parts = 1.0 / law.alpha, law.mu, []
         for i, n in enumerate(map(len, np.array_split(np.empty(count), chunks))):
-            g = sampling.chunk_rng(5, i).standard_gamma(law.mu, n)
+            rng = sampling.chunk_rng(5, i)
+            if mu >= 1.0:
+                g = rng.standard_gamma(mu, n)
+            else:
+                g = rng.standard_gamma(mu + 1, n) * rng.random(n) ** (1 / mu)
             parts.append(law.h_root * (g / law.mu) ** inv)
         expected = np.concatenate(parts)
         x = fading.sample(law, 5, count, chunks=chunks, threads=threads)
         assert np.array_equal(x.view(np.int64), expected.view(np.int64))
 
     def test_draw_allocates_nothing_beyond_its_output(self):
-        law = fading.AlphaMuFading(2.0, 1.0)
-        fading.sample(law, 0, 10)  # lazy imports load outside the measurement
-        tracemalloc.start()
-        try:
-            x = fading.sample(law, 0, 10**6)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak <= 1.05 * x.nbytes  # measured 1.003x; one chunk-sized temporary would be 1.125x
+        for law in (fading.AlphaMuFading(2.0, 1.0), fading.AlphaMuFading(2.0, 0.5)):
+            fading.sample(law, 0, 10)  # lazy imports load outside the measurement
+            tracemalloc.start()
+            try:
+                x = fading.sample(law, 0, 10**6)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            # measured 1.0003x, and 1.017x at mu 0.5 with its 64 KB blocks of uniforms;
+            # one chunk-sized temporary would be 1.125x
+            assert peak <= 1.05 * x.nbytes, "%r: %.3fx" % (law, peak / x.nbytes)
 
     def test_shapes_whose_gamma_zeros_matter_are_refused(self):
         # Gamma(0.01) rounds to 0 with probability 2**-10.75, each zero in place of a draw up to 0.48 h_root

@@ -196,27 +196,33 @@ class TestSampling:
         ids=["beta0.7", "beta2", "beta0.5", "beta0.005-overflows"],
     )
     def test_draws_are_the_chunkwise_expression_bit_for_bit(self, law, count, chunks, threads):
-        # the per-chunk expression, concatenated; beta 0.005 draws overflow to +-inf
+        # the per-chunk expression, concatenated; beta 0.005 draws overflow to +-inf.
+        # Below shape 1, G is Gamma(inv + 1) boosted by U**(1/inv); the signs are int8
         inv, parts = 1.0 / law.beta, []
         for i, n in enumerate(map(len, np.array_split(np.empty(count), chunks))):
             rng = sampling.chunk_rng(5, i)
-            g = rng.standard_gamma(inv, n)
-            signs = 1.0 - 2.0 * rng.integers(0, 2, n)
+            if inv >= 1.0:
+                g = rng.standard_gamma(inv, n)
+            else:
+                g = rng.standard_gamma(inv + 1, n) * rng.random(n) ** (1 / inv)
+            signs = 1.0 - 2.0 * rng.integers(0, 2, n, dtype="int8")
             parts.append(law.mean + signs * law.scale * g**inv)
         expected = np.concatenate(parts)
         x = gg.sample(law, 5, count, chunks=chunks, threads=threads)
         assert np.array_equal(x.view(np.int64), expected.view(np.int64))
 
     def test_draw_allocates_little_beyond_its_output(self):
-        law = gg.GGNoise(1.0, 1.0)
-        gg.sample(law, 0, 10)  # lazy imports load outside the measurement
-        tracemalloc.start()
-        try:
-            x = gg.sample(law, 0, 10**6)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak <= 1.25 * x.nbytes  # the output plus one chunk's integer signs, 1.125x at one thread
+        for law in (gg.GGNoise(1.0, 1.0), gg.GGNoise(2.0, 1.0)):
+            gg.sample(law, 0, 10)  # lazy imports load outside the measurement
+            tracemalloc.start()
+            try:
+                x = gg.sample(law, 0, 10**6)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            # the output plus one chunk's int8 signs, 1.024x; at beta 2 the 64 KB blocks of uniforms are freed first.
+            # int64 signs would be 1.125x
+            assert peak <= 1.05 * x.nbytes, "%r: %.3fx" % (law, peak / x.nbytes)
 
     def test_sample_variance(self):
         law = gg.GGNoise(2.0, math.sqrt(2.0))

@@ -443,7 +443,7 @@ class TestRunChecks:
         rows, pinned = run_fresh(code).split()
         assert rows == pinned
 
-    def test_full_suite_within_4_mb_of_rss_over_its_imports(self):
+    def test_full_suite_within_3_2_mb_of_rss_over_its_imports(self):
         # verify grows 2.4-2.8 MB past its imports: the convolution works in blocks of two 512 KB arrays.
         # Blocks evaluated out of place grew it by 3.6-4.0 MB, and by 9.7 MB at four times the block size;
         # importing numpy.polynomial for the Gauss-Legendre rule, a worker thread at --threads 1 and an
