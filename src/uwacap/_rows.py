@@ -74,8 +74,6 @@ def format_9g(values):
     table, scale, split, last = _tables()
     a = np.abs(x)
     python = ~((a >= 1e-14) & (a < 1e31))  # zeros, nan and inf too
-    if python.all():  # no row for the vector path, so none of its arithmetic
-        return "%.9g\n" * len(x) % tuple(x.tolist())
     a[python] = 1.0
     i = np.clip(np.floor(np.log10(a)) - _LOW, 0, _HIGH - _LOW).astype(np.intp)  # e - _LOW
     scaled = a * scale[0][i] / scale[1][i]  # |x| * 10**(8 - e): one of the two factors is 1, so one rounding

@@ -113,24 +113,6 @@ def awggn_bounds(config, units="bits"):
     return CapacityBounds(lower, lower + gap(config.noise.beta, units))
 
 
-def _softplus_slope(z):
-    """q = sigmoid(z) / softplus(z), which falls from 1 to 0, and dq/dz = q * d / softplus.
-
-    d = (1 - sigmoid) * softplus - sigmoid is formed so that it cannot round above 0.
-    """
-    t = math.exp(-abs(z))
-    if z > 0.0:
-        softplus = z + math.log1p(t)
-        sigmoid, d = 1.0 / (1.0 + t), (t * softplus - 1.0) / (1.0 + t)
-    else:
-        softplus = math.log1p(t)
-        if softplus == 0.0:  # z below -745, where q is 1 to the last bit
-            return 1.0, 0.0
-        sigmoid, d = t / (1.0 + t), (softplus - t) / (1.0 + t)
-    q = sigmoid / softplus
-    return q, q * d / softplus
-
-
 def ergodic_awgn_capacity(snr_avg, fading, rtol=DEFAULT_RTOL, units="bits"):
     """E_h{0.5 * log(1 + snr * h**2)} by a trapezoid rule in v = ln(G / mu).
 
@@ -147,12 +129,15 @@ def ergodic_awgn_capacity(snr_avg, fading, rtol=DEFAULT_RTOL, units="bits"):
     a tiny average keeps rtol (below about 1e-4 nats it takes extra halvings).
     It is also log-concave, so once the lattice values fall their ratios keep
     falling, and each side is cut where a geometric bound puts the rest below
-    rtol/1000 of the sum. The lattice is centred on the mode, with a first
-    step no wider than the integrand there. With z = 2v/alpha + ln c, w the
-    log weight mu * (v - expm1(v)) and peak the ln of the integrand at the
-    centre (the one value taken in logs), each lattice value is
-    softplus(z) * e**(w - peak), or e**(z + w - peak) where z < -37 and
-    softplus(z) is e**z to the last bit. Past MAX_EVALUATIONS integrand
+    rtol/1000 of the sum. The lattice is centred near the mode, by bisection
+    on the sign of the integrand's log slope over [0, log1p(2 / (alpha * mu))]
+    to 1% of the Gamma weight's width 1 / sqrt(mu * e**v); that width, capped
+    at (pi/2) * min(1, alpha), is the first step. With z = 2v/alpha + ln c, w
+    the log weight mu * (v - expm1(v)) (mu * v - e**(v + ln mu) + mu where
+    e**v overflows) and peak the ln of the integrand at the centre (the one
+    value taken in logs), each lattice value is softplus(z) * e**(w - peak),
+    or e**(z + w - peak) where z < -37 and softplus(z) is e**z to the last
+    bit. A subnormal mu raises DomainError. Past MAX_EVALUATIONS integrand
     values it raises QuadratureError carrying the last estimate and indicator
     in nats.
     """
@@ -160,7 +145,7 @@ def ergodic_awgn_capacity(snr_avg, fading, rtol=DEFAULT_RTOL, units="bits"):
     rtol = tolerance("rtol", rtol)
     if rho == 0:
         return 0.0
-    mu, a = fading.mu, 2.0 / fading.alpha
+    mu, a = real("mu", fading.mu, 2.0**-1022, strict=False), 2.0 / fading.alpha  # subnormal mu: a / mu can overflow
     log_c = math.log(rho) + 2.0 * math.log(fading.h_root)
 
     peak = None
@@ -172,27 +157,27 @@ def ergodic_awgn_capacity(snr_avg, fading, rtol=DEFAULT_RTOL, units="bits"):
         else:
             try:
                 ln_w = mu * (v - math.expm1(v))
-            except OverflowError:  # e**v past the float range: the weight is 0
-                return -math.inf if peak is None else 0.0
+            except OverflowError:  # e**v past the float range, where mu * e**v may not be
+                try:
+                    ln_w = mu * v - math.exp(v + math.log(mu)) + mu
+                except OverflowError:  # the weight is 0
+                    return -math.inf if peak is None else 0.0
         if z < -37.0:  # softplus(z) = e**z to the last bit
             return z + ln_w if peak is None else math.exp(z + ln_w - peak)
         softplus = z + math.log1p(math.exp(-z)) if z > 0.0 else math.log1p(math.exp(z))
         return math.log(softplus) + ln_w if peak is None else softplus * math.exp(ln_w - peak)
 
-    # phi is concave, and its slope a * q - mu * expm1(v) is > 0 at v = 0 and < 0
-    # at log1p(a / mu): Newton steps inside that bracket find the mode
+    # phi is concave; its slope a * q - mu * expm1(v), q = sigmoid(z) / softplus(z) <= 1, is > 0 at 0 and < 0 at hi
     lo, hi = 0.0, math.log1p(a / mu)
-    centre = 0.5 * hi
     for _ in range(64):
-        q, dq = _softplus_slope(a * centre + log_c)
-        slope, curvature = a * q - mu * math.expm1(centre), a * a * dq - mu * math.exp(centre)
-        lo, hi = (centre, hi) if slope > 0.0 else (lo, centre)
-        width = 1.0 / math.sqrt(-curvature)
-        newton = centre - slope / curvature
-        step = (newton if lo < newton < hi else 0.5 * (lo + hi)) - centre
-        if abs(step) <= 0.01 * width:
+        centre = 0.5 * (lo + hi)
+        width = 1.0 / math.sqrt(mu * math.exp(centre))
+        if hi - lo <= 0.01 * width:
             break
-        centre += step
+        z = a * centre + log_c
+        softplus = math.log1p(math.exp(z)) if z < 37.0 else z
+        q = 1.0 if z < -37.0 else 1.0 / ((1.0 + math.exp(-z)) * softplus)
+        lo, hi = (centre, hi) if a * q > mu * math.expm1(centre) else (lo, centre)
 
     peak = phi(centre)  # from here on phi(v) is the integrand over its value at the centre
     # the integrand at the centre, in nats: mu**mu e**-mu / Gamma(mu) = sqrt(mu / 2 pi) e**-J(mu) by Stirling

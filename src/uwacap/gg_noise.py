@@ -37,22 +37,21 @@ def log_pdf(law, n):
 
     Where z**beta overflows (z = |n - mean| / scale past 2.6e15 at beta = 20),
     ln pdf is -inf and pdf is 0, without a RuntimeWarning. An array result is
-    built in place in the one array that ``n - mean`` allocates, never in ``n``.
+    built in place in the one array that ``n - mean`` fills, never in ``n``;
+    a 0-d or float input takes the same array loops and gives a float.
     """
     import numpy as np  # loaded on first use, so the closed forms never import it
 
     arr = np.asarray(n, dtype=float)
     if not np.all(np.isfinite(arr)):
         raise DomainError("noise amplitude must be finite")
-    z = arr - law.mean
-    # a 0-d input gives a numpy float, which takes the scalar ops (its pow is not the array loop's)
-    buffer = z if z.ndim else None
-    z = np.abs(z, out=buffer)
+    z = np.subtract(arr, law.mean, out=np.empty_like(arr))
+    np.abs(z, out=z)
     z /= law.scale
     with np.errstate(over="ignore"):
         z **= law.beta
-    out = np.subtract(law.log_norm, z, out=buffer)
-    return float(out) if out.ndim == 0 else out
+    np.subtract(law.log_norm, z, out=z)
+    return float(z) if z.ndim == 0 else z
 
 
 def pdf(law, n):

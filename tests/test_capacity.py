@@ -241,6 +241,43 @@ class TestErgodicCapacity:
         # (h / h_root)**alpha overflows for h above 1e-155; all the mass sits near 1e-310
         assert capacity.ergodic_awgn_capacity(1.0, fading.AlphaMuFading(2.0, 1.0, 1e-310)) == 0.0
 
+    # E{ln(1 + G/mu)} = Int_0^inf e**(-s mu) * (1 - (1 + s)**-mu) / s ds (Frullani) by mpmath at 40 digits
+    @pytest.mark.parametrize(
+        "mu,expected",
+        [(8.9e-308, 1.6019565556461e-302), (4.45e-308, 8.0255086224456e-303), (2.2253e-308, 4.0211655194728e-303)],
+    )
+    def test_tiny_mu_past_the_overflow_of_e_v(self, mu, expected):
+        # the integrand is nearly flat in v up to about ln(1 / mu) ~ 707, so the lattice walks past
+        # v = 709.78, where e**v overflows and mu * e**v does not
+        assert capacity.ergodic_awgn_capacity(1.0, fading.unit_power(2.0, mu)) == pytest.approx(expected, rel=1e-8)
+
+    def test_cli_tiny_mu_exits_0(self, capsys):
+        assert main(["ergodic", "--alpha", "2", "--mu", "2.2253e-308", "--snr-db", "0"]) == 0
+        assert capsys.readouterr().out.splitlines()[1].startswith("0,4.02116552e-303,")
+
+    @pytest.mark.parametrize("mu", [1e-310, 5e-324])
+    def test_subnormal_mu_raises(self, mu):
+        with pytest.raises(DomainError, match="^mu must be a finite real >= 2.22507e-308, got"):
+            capacity.ergodic_awgn_capacity(1.0, fading.AlphaMuFading(2.0, mu))
+
+    def test_golden_sweeps_take_at_most_30000_evaluations(self, monkeypatch, capsys):
+        # the rule's work, counted where wall times cannot resolve it: 29,855 integrand values here
+        evaluations, rule = 0, capacity.halving_trapezoid
+
+        def counted(term, *args, **kwargs):
+            def counting(v):
+                nonlocal evaluations
+                evaluations += 1
+                return term(v)
+
+            return rule(counting, *args, **kwargs)
+
+        monkeypatch.setattr(capacity, "halving_trapezoid", counted)
+        for alpha, mu in (("2", "1"), ("2", "3"), ("3", "1"), ("0.5", "0.5"), ("300", "5")):  # test_golden's laws
+            assert main(["ergodic", "--alpha", alpha, "--mu", mu, "--snr-db=-10:60:1"]) == 0
+        assert len(capsys.readouterr().out.splitlines()) == 5 * 72
+        assert evaluations <= 30_000
+
 
 @mpmath.workdps(20)
 def exact_ergodic_bits(snr, law):

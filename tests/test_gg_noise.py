@@ -72,15 +72,22 @@ class TestPdf:
              "1d-overflow-beta20", "float-overflow-beta20"],
     )
     def test_log_pdf_is_the_out_of_place_expression_bit_for_bit(self, beta, n):
-        # numpy's scalar pow and its array loop differ in the last bit at each 0-d and float input here
+        # the reference is the array expression: numpy's scalar pow differs from its array loop in
+        # the last bit at each 0-d and float input here, and log_pdf takes the array loop for those too
         law = gg.GGNoise(beta, 1.3, mean=0.4)
         with np.errstate(over="ignore"):
-            want = law.log_norm - (np.abs(np.asarray(n, dtype=float) - law.mean) / law.scale) ** law.beta
+            want = law.log_norm - (np.abs(np.array(n, dtype=float, ndmin=1) - law.mean) / law.scale) ** law.beta
         got = gg.log_pdf(law, n)  # an overflow is -inf with no RuntimeWarning, which this suite makes an error
-        if want.ndim == 0:
-            assert type(got) is float and np.float64(got).view(np.int64) == want.view(np.int64)
+        if np.ndim(n) == 0:
+            assert type(got) is float and np.float64(got).view(np.int64) == want[0].view(np.int64)
         else:
             assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
+    @pytest.mark.parametrize("beta", [0.5, 1.5, 2.0, 3.3])
+    def test_log_pdf_of_a_point_is_its_bits_in_an_array(self, beta):
+        law, n = gg.GGNoise(beta, 1.3, mean=0.4), np.random.default_rng(7).normal(0.4, 3.0, 20_000)
+        alone = np.array([gg.log_pdf(law, x) for x in n.tolist()])
+        assert np.array_equal(alone.view(np.int64), gg.log_pdf(law, n).view(np.int64))
 
     def test_log_pdf_leaves_its_argument_unchanged(self):
         n = np.linspace(-5.0, 5.0, 101)
