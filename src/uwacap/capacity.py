@@ -137,9 +137,9 @@ def ergodic_awgn_capacity(snr_avg, fading, rtol=DEFAULT_RTOL, units="bits"):
     e**v overflows) and peak the ln of the integrand at the centre (the one
     value taken in logs), each lattice value is softplus(z) * e**(w - peak),
     or e**(z + w - peak) where z < -37 and softplus(z) is e**z to the last
-    bit. A subnormal mu raises DomainError. Past MAX_EVALUATIONS integrand
-    values it raises QuadratureError carrying the last estimate and indicator
-    in nats.
+    bit. A subnormal mu, or a law whose 2 / (alpha * mu) overflows, raises
+    DomainError. Past MAX_EVALUATIONS integrand values it raises
+    QuadratureError carrying the last estimate and indicator in nats.
     """
     rho = real("snr_avg", snr_avg, 0.0, strict=False)
     rtol = tolerance("rtol", rtol)
@@ -169,6 +169,10 @@ def ergodic_awgn_capacity(snr_avg, fading, rtol=DEFAULT_RTOL, units="bits"):
 
     # phi is concave; its slope a * q - mu * expm1(v), q = sigmoid(z) / softplus(z) <= 1, is > 0 at 0 and < 0 at hi
     lo, hi = 0.0, math.log1p(a / mu)
+    if hi == math.inf:  # no centre to find, and every lattice value would be nan
+        raise DomainError(
+            "alpha=%r with mu=%r is out of range: 2 / (alpha * mu) overflows a float" % (fading.alpha, fading.mu)
+        )
     for _ in range(64):
         centre = 0.5 * (lo + hi)
         width = 1.0 / math.sqrt(mu * math.exp(centre))

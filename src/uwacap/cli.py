@@ -315,6 +315,8 @@ def main(argv=None):
 
 
 def run():
+    # numpy's bundled OpenBLAS starts a worker per CPU that spin-waits after import; the CLI's small products need none
+    os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
     sys.exit(main())
 
 

@@ -123,21 +123,18 @@ def tail_radius(law, mass):
     return radius
 
 
-def sample(law, seed, count, chunks=8, threads=1):
-    """``count`` i.i.d. draws, deterministic given (seed, count, chunks).
+def chunk_draw(law):
+    """``draw(rng, out)``, the per-chunk draw of ``sample``: it fills the float64 array ``out`` with draws of ``law``.
 
     Uses the exact representation N = mean + S * scale * G**(1/beta) with S a
     fair sign and G ~ Gamma(1/beta, 1), drawn by ``sampling.standard_gamma``
     (for beta > 1 as Gamma(1/beta + 1) * U**beta, Marsaglia and Tsang's boost).
-    G is drawn straight into the output and transformed in place, so a draw
-    allocates its output once plus, per running thread, one chunk's int8
-    signs and, for beta > 1, 64 KB of uniforms. Each chunk costs about 1.7 KB and
-    70-100 us beyond its draws (measured at 10**5 chunks), and at most one
-    thread runs per chunk; one thread draws every chunk in the calling
-    thread, starting none. A shape beta > 1075/53, whose gamma variates would
-    round to 0 in place of draws that matter, raises DomainError.
+    G is drawn straight into ``out`` and transformed in place, so a draw
+    allocates one chunk's int8 signs and, for beta > 1, 64 KB of uniforms. A
+    shape beta > 1075/53, whose gamma variates would round to 0 in place of
+    draws that matter, raises DomainError here, before any draw.
     """
-    from .sampling import check_gamma_zeros, chunked_draw, standard_gamma
+    from .sampling import check_gamma_zeros, standard_gamma
 
     inv = 1.0 / law.beta
     check_gamma_zeros(law, inv, inv)
@@ -153,4 +150,19 @@ def sample(law, seed, count, chunks=8, threads=1):
         out *= signs
         out += law.mean
 
-    return chunked_draw(draw, seed, count, chunks=chunks, threads=threads)
+    return draw
+
+
+def sample(law, seed, count, chunks=8, threads=1):
+    """``count`` i.i.d. draws, deterministic given (seed, count, chunks).
+
+    ``chunk_draw(law)`` fills each chunk of ``sampling.chunked_draw``'s plan
+    in place, so a draw allocates its output once plus, per running thread,
+    what ``chunk_draw`` allocates for one chunk. Each chunk costs about 1.7 KB
+    and 70-100 us beyond its draws (measured at 10**5 chunks), and at most one
+    thread runs per chunk; one thread draws every chunk in the calling thread,
+    starting none. A shape beta > 1075/53 raises DomainError.
+    """
+    from .sampling import chunked_draw
+
+    return chunked_draw(chunk_draw(law), seed, count, chunks=chunks, threads=threads)

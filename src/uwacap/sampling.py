@@ -61,32 +61,40 @@ def standard_gamma(rng, shape, out):
     return out
 
 
-def chunked_draw(draw, seed, count, chunks=8, threads=1):
-    """``count`` variates, drawn chunk by chunk into one preallocated array.
+def map_chunks(work, seed, count, chunks=8, threads=1):
+    """``[work(rng, start, stop) for each chunk]`` of a (seed, count, chunks) sampling plan, in chunk order.
 
-    ``draw(rng, out)`` must fill the float64 slice ``out`` with variates in
-    place. Each chunk owns the slice at its offset, so any thread count yields
-    identical output, and the output is allocated once and never copied.
-    At ``threads=1`` the chunks are drawn in order in the calling thread, which
-    starts no worker thread; a chunk's error is raised unchanged either way.
+    Chunk i covers items [start, stop) of ``count``, the first ``count % chunks``
+    chunks one item more than the rest, and draws from ``chunk_rng(seed, i)``.
+    At ``threads=1`` the chunks run in order in the calling thread, which starts
+    no worker thread; otherwise a pool of ``threads`` runs them, each worker one
+    chunk at a time. A chunk's error is raised unchanged either way.
     """
     chunks = integer("chunks", chunks, 1)
     base, extra = divmod(integer("count", count, 1), chunks)
     seed, threads = integer("seed", seed, 0), integer("threads", threads, 1)
-    edges = [i * base + min(i, extra) for i in range(chunks + 1)]  # the first `extra` chunks draw one more
-    import numpy as np
-
-    out = np.empty(edges[-1])
+    edges = [i * base + min(i, extra) for i in range(chunks + 1)]
 
     def one(i):
-        draw(chunk_rng(seed, i), out[edges[i] : edges[i + 1]])
+        return work(chunk_rng(seed, i), edges[i], edges[i + 1])
 
     if threads == 1:
-        for i in range(chunks):
-            one(i)
-    else:
-        from concurrent.futures import ThreadPoolExecutor  # imported only when a pool starts
+        return [one(i) for i in range(chunks)]
+    from concurrent.futures import ThreadPoolExecutor  # imported only when a pool starts
 
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            list(pool.map(one, range(chunks)))  # consumed, so a chunk's error is raised here
+    with ThreadPoolExecutor(max_workers=threads) as pool:
+        return list(pool.map(one, range(chunks)))  # consumed, so a chunk's error is raised here
+
+
+def chunked_draw(draw, seed, count, chunks=8, threads=1):
+    """``count`` variates, drawn chunk by chunk of ``map_chunks``'s plan into one preallocated array.
+
+    ``draw(rng, out)`` must fill the float64 slice ``out`` with variates in
+    place. Each chunk owns the slice at its offset, so any thread count yields
+    identical output, and the output is allocated once and never copied.
+    """
+    import numpy as np
+
+    out = np.empty(integer("count", count, 1))
+    map_chunks(lambda rng, start, stop: draw(rng, out[start:stop]), seed, count, chunks, threads)
     return out

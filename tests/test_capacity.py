@@ -260,6 +260,17 @@ class TestErgodicCapacity:
         with pytest.raises(DomainError, match="^mu must be a finite real >= 2.22507e-308, got"):
             capacity.ergodic_awgn_capacity(1.0, fading.AlphaMuFading(2.0, mu))
 
+    def test_bracket_end_past_the_float_range_names_the_law(self):
+        # mu is normal, but 2 / (alpha * mu) = 2e308 overflows: the bisection would have no centre
+        message = r"^alpha=0.1 with mu=1e-307 is out of range: 2 / \(alpha \* mu\) overflows a float$"
+        with pytest.raises(DomainError, match=message):
+            capacity.ergodic_awgn_capacity(1.0, fading.AlphaMuFading(0.1, 1e-307))
+
+    @pytest.mark.parametrize("alpha,mu", [(0.1, 1e-300), (0.5, 1e-307), (1.0, 2.3e-308)])
+    def test_bracket_end_inside_the_float_range_keeps_its_value(self, alpha, mu):
+        # E{ln(1 + snr h**2)} ~ snr E{h**2} for so tiny a mu: positive, finite and far below 1 bit
+        assert 0.0 < capacity.ergodic_awgn_capacity(1.0, fading.AlphaMuFading(alpha, mu)) < 1e-290
+
     def test_golden_sweeps_take_at_most_30000_evaluations(self, monkeypatch, capsys):
         # the rule's work, counted where wall times cannot resolve it: 29,855 integrand values here
         evaluations, rule = 0, capacity.halving_trapezoid

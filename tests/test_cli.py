@@ -478,6 +478,22 @@ class TestVerifyCommand:
         assert all(line.endswith(" FAIL") for line in grid_rows)
         assert [line for line in out.splitlines() if line.startswith("output_mass")][0].endswith(" PASS")
 
+    def test_output_grid_that_never_lands_is_two_failed_rows(self, capsys, monkeypatch):
+        # a kernel 1e-8 too heavy puts each output grid's mass near 1 + 1e-8 at every size, so output_density raises
+        from uwacap import verify
+
+        kernel = verify._convolved_values
+        monkeypatch.setattr(verify, "_convolved_values", lambda *args: kernel(*args) * (1.0 + 1e-8))
+        code, out, err = run_cli(capsys, "--samples", "2000", "verify", "--quick")
+        assert (code, err) == (3, "")
+        lines = out.splitlines()
+        assert lines[-1] == "verify: 12 checks, 4 failed"
+        failed = {line[:29].strip(): line.split()[3].split("=")[1] for line in lines if line.endswith(" FAIL")}
+        assert failed.keys() == {"%s beta=%d snr=1" % (row, b) for row in ("mi_sandwich", "output_mass") for b in (1, 2)}
+        for beta in (1, 2):
+            assert failed["mi_sandwich beta=%d snr=1" % beta] == "nan"
+            assert 0.98e-8 < float(failed["output_mass beta=%d snr=1" % beta]) < 1e-8
+
 
 @needs_numpy
 class TestVerifyQuadRtol:
@@ -815,3 +831,16 @@ class TestOutputFile:
         if os.path.exists("/dev/full"):  # a full stdout is such a usage error too
             with open("/dev/full", "w") as full:
                 assert self.run_without_stderr(stderr, ["gap", "1"], stdout=full).returncode == 1
+
+
+class TestEntryPoint:
+    @pytest.mark.parametrize("preset,seen", [(None, "1"), ("3", "3")], ids=["unset", "set"])
+    def test_run_sets_one_openblas_thread_unless_the_environment_does(self, preset, seen):
+        # numpy's OpenBLAS reads the variable when it loads, after run() and before main() imports numpy
+        env = package_env()
+        env.pop("OPENBLAS_NUM_THREADS", None)
+        if preset is not None:
+            env["OPENBLAS_NUM_THREADS"] = preset
+        code = "import os, uwacap.cli as c; c.main = lambda: print(os.environ.get('OPENBLAS_NUM_THREADS')) or 0; c.run()"
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=60)
+        assert (proc.returncode, proc.stdout, proc.stderr) == (0, seen + "\n", "")

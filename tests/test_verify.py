@@ -178,9 +178,22 @@ class TestMcEntropy:
         with pytest.raises(DomainError, match=r"^samples must be an integer >= 1000, got 999$"):
             verify.mc_entropy(gg.GGNoise(2.0, 1.0), SimConfig(seed=0, samples=999))
 
-    def test_peak_memory_is_two_arrays_of_the_draws(self):
-        # log_pdf's result and np.std's deviations; draws kept under a name until the end peaked at 3.0x
-        law, samples = gg.GGNoise(1.0, 1.0), 100_000
+    @pytest.mark.parametrize("threads", [1, 3])
+    @pytest.mark.parametrize("samples", [1000, 100_003])
+    @pytest.mark.parametrize("seed", [0, 123])
+    @pytest.mark.parametrize("beta", BETA_GRID)
+    def test_streamed_moments_are_those_of_the_samplers_draws(self, beta, seed, samples, threads):
+        # the chunks are gg_noise.sample's, bit for bit; only the summation order of the moments differs
+        law = gg.with_variance(beta, 1.0)
+        log_p = gg.log_pdf(law, gg.sample(law, seed, samples, threads=threads))
+        estimate, stderr = verify.mc_entropy(law, SimConfig(seed=seed, samples=samples, threads=threads))
+        assert estimate == pytest.approx(-np.mean(log_p), rel=1e-12, abs=0.0)
+        assert stderr == pytest.approx(np.std(log_p, ddof=1) / math.sqrt(samples), rel=1e-12, abs=0.0)
+
+    def test_peak_memory_is_two_chunks_of_the_draws(self):
+        # a chunk's draws and their ln pdf, 2/8 of the sample's bytes; the whole sample and np.std's
+        # deviations, held at once, peaked at 2.00x
+        law, samples = gg.GGNoise(1.0, 1.0), 1_000_000
         verify.mc_entropy(law, SimConfig(seed=0, samples=1_000))  # lazy imports load outside the measurement
         tracemalloc.start()
         try:
@@ -188,7 +201,13 @@ class TestMcEntropy:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 2.5 * 8 * samples  # measured 2.00x
+        assert peak < 0.5 * 8 * samples  # measured 0.25x
+
+    def test_a_million_samples_within_6_mb_of_rss_over_its_imports(self):
+        # streamed chunks of 125,000 draws grow it 2.3-2.6 MB; three arrays of the whole sample grew it 15.7-16.1 MB
+        imports = child_max_rss_mb("-c", "import numpy.random, uwacap.cli, uwacap.verify")
+        run = child_max_rss_mb("-m", "uwacap.cli", "--samples", "1000000", "verify", "--quick")
+        assert run - imports <= 6.0, "verify: child max RSS %.1f MB, %.1f MB over its imports" % (run, run - imports)
 
 
 class TestOutputDensity:
@@ -374,7 +393,7 @@ class TestConvolutionKernel:
         finally:
             tracemalloc.stop()
         assert len(grid.points) == points
-        assert peak < 3_000_000  # two 512 KB block arrays plus the grid's own per-point arrays
+        assert peak < 3_000_000  # two block arrays plus the grid's own per-point arrays; 0.5 and 1.1 MB at 2**14
 
 
 def counted(monkeypatch, module, name, key):
@@ -443,14 +462,14 @@ class TestRunChecks:
         rows, pinned = run_fresh(code).split()
         assert rows == pinned
 
-    def test_full_suite_within_3_2_mb_of_rss_over_its_imports(self):
-        # verify grows 2.4-2.8 MB past its imports: the convolution works in blocks of two 512 KB arrays.
-        # Blocks evaluated out of place grew it by 3.6-4.0 MB, and by 9.7 MB at four times the block size;
-        # importing numpy.polynomial for the Gauss-Legendre rule, a worker thread at --threads 1 and an
-        # out-of-place log_pdf once took it to 6.3 MB
+    def test_full_suite_within_1_8_mb_of_rss_over_its_imports(self):
+        # verify grows 1.0-1.3 MB past its imports: the convolution works in blocks of two 128 KB arrays and the
+        # MC entropy in two chunks of 12,500 draws. Blocks of two 512 KB arrays with the whole sample held grew
+        # it 2.1-2.3 MB, blocks evaluated out of place 3.6-4.0 MB, and importing numpy.polynomial for the
+        # Gauss-Legendre rule, a worker thread at --threads 1 and an out-of-place log_pdf once took it to 6.3 MB
         imports = child_max_rss_mb("-c", "import numpy.random, uwacap.cli, uwacap.verify")
         run = child_max_rss_mb("-m", "uwacap.cli", "verify")
-        assert run - imports <= 3.2, "verify: child max RSS %.1f MB, %.1f MB over its imports" % (run, run - imports)
+        assert run - imports <= 1.8, "verify: child max RSS %.1f MB, %.1f MB over its imports" % (run, run - imports)
 
     def test_pdf_mass_is_the_density_grid_mass(self, full_run):
         # the grid leaves exactly truncation_mass outside, so the rest is the pdf's mass
