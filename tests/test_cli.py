@@ -488,7 +488,8 @@ class TestVerifyCommand:
         assert (code, err) == (3, "")
         lines = out.splitlines()
         assert lines[-1] == "verify: 12 checks, 4 failed"
-        failed = {line[:29].strip(): line.split()[3].split("=")[1] for line in lines if line.endswith(" FAIL")}
+        rows = [line.split("  measured=") for line in lines if line.endswith(" FAIL")]
+        failed = {name.strip(): rest.split()[0] for name, rest in rows}
         assert failed.keys() == {"%s beta=%d snr=1" % (row, b) for row in ("mi_sandwich", "output_mass") for b in (1, 2)}
         for beta in (1, 2):
             assert failed["mi_sandwich beta=%d snr=1" % beta] == "nan"

@@ -464,9 +464,9 @@ class TestRunChecks:
 
     def test_full_suite_within_1_8_mb_of_rss_over_its_imports(self):
         # verify grows 1.0-1.3 MB past its imports: the convolution works in blocks of two 128 KB arrays and the
-        # MC entropy in two chunks of 12,500 draws. Blocks of two 512 KB arrays with the whole sample held grew
-        # it 2.1-2.3 MB, blocks evaluated out of place 3.6-4.0 MB, and importing numpy.polynomial for the
-        # Gauss-Legendre rule, a worker thread at --threads 1 and an out-of-place log_pdf once took it to 6.3 MB
+        # MC entropy in two chunks of 12,500 draws. With 512 KB blocks and the whole sample held it grew 2.1-2.3 MB;
+        # blocks evaluated out of place, numpy.polynomial imported for the Gauss-Legendre rule, a worker thread at
+        # --threads 1 and an out-of-place log_pdf once took it to 3.6-6.3 MB
         imports = child_max_rss_mb("-c", "import numpy.random, uwacap.cli, uwacap.verify")
         run = child_max_rss_mb("-m", "uwacap.cli", "verify")
         assert run - imports <= 1.8, "verify: child max RSS %.1f MB, %.1f MB over its imports" % (run, run - imports)
